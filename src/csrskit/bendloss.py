@@ -24,7 +24,6 @@ from csrskit.core_model import FiberGeometry, LP01, LP11, ModeLabel, marcatili_m
 
 __all__ = [
     "NoResonanceError",
-    "BendConfiguration",
     "ModeAccess",
     "DEFAULT_CLADDING_PAIRS",
     "EMPIRICAL_LP01_CUTOFF_M",
@@ -50,26 +49,6 @@ DEFAULT_CLADDING_PAIRS: dict[ModeLabel, tuple[ModeLabel, ...]] = {LP01: (LP11,)}
 #: annotation next to the computed resonance radius; the two numbers
 #: describe different mechanisms and need not agree.
 EMPIRICAL_LP01_CUTOFF_M = (0.10, 0.01)
-
-
-@dataclass(frozen=True)
-class BendConfiguration:
-    """Bend radius plus how the bend plane relates to the capillary ring.
-
-    alignment "worst-case" assumes a capillary lies exactly in the bend
-    plane; "angle-resolved" projects the capillary positions for a given
-    azimuth of the structure relative to the bend plane.
-    """
-
-    bend_radius_m: float
-    alignment: str = "worst-case"
-    azimuth_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.bend_radius_m <= 0:
-            raise ValueError("bend radius must be positive")
-        if self.alignment not in ("worst-case", "angle-resolved"):
-            raise ValueError("alignment must be 'worst-case' or 'angle-resolved'")
 
 
 def touching_capillary_radius(core_radius_um: float, num_capillaries: int) -> float:

@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 invalid input or infeasible problem,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -79,16 +80,21 @@ def _parse_range(text: str, path: str = "range") -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{path}: expected start:stop:count, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"{path}: expected start:stop:count, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"{path}: start and stop must be finite")
     if count < 1:
         raise ValueError(f"{path}: count must be >= 1")
     return np.linspace(start, stop, count)
 
 
-def _sweep_values(arg: str | None, config: ToolkitConfig, name: str, fallback: tuple[float, float, int]) -> np.ndarray:
+def _sweep_values(args, option: str, config: ToolkitConfig, name: str, fallback: tuple[float, float, int]) -> np.ndarray:
+    arg = getattr(args, option)
     if arg is not None:
-        return _parse_range(arg, name)
+        return _parse_range(arg, option)
     configured = config.sweep(name)
     if configured is not None:
         return np.linspace(configured[0], configured[1], int(configured[2]))
@@ -122,7 +128,7 @@ def cmd_phase_match(config: ToolkitConfig, args, out_dir: Path) -> int:
     variant = config.index_variant()
     exclusion = config.resonance_exclusion_rel()
     length = config.fiber_length_m()
-    pressures = _sweep_values(args.pressures, config, "pressure_bar", (1.0, 150.0, 150))
+    pressures = _sweep_values(args, "pressures", config, "pressure_bar", (1.0, 150.0, 150))
 
     solution = optimal_pressure(
         scheme,
@@ -163,7 +169,7 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     model = config.efficiency_model()
     fields = config.light_fields()
     pump1, pump2, probe = fields["pump1"], fields["pump2"], fields["probe"]
-    lengths = _sweep_values(args.lengths, config, "length_m", (0.1, 25.0, 100))
+    lengths = _sweep_values(args, "lengths", config, "length_m", (0.1, 25.0, 100))
 
     exceeded = False
     rows = []
@@ -241,7 +247,7 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
 def cmd_bend(config: ToolkitConfig, args, out_dir: Path) -> int:
     geom = config.fiber_geometry()
     probe_nm = config.tree["scheme"]["probe_nm"]
-    radii = _sweep_values(args.radii, config, "radius_m", (0.05, 0.60, 56))
+    radii = _sweep_values(args, "radii", config, "radius_m", (0.05, 0.60, 56))
     modes = (LP01, LP11)
 
     extra = []

@@ -40,8 +40,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy.special import jn_zeros
-
 __all__ = [
     "MAX_AZIMUTHAL_ORDER",
     "MAX_RADIAL_ORDER",
@@ -64,6 +62,18 @@ __all__ = [
 MAX_AZIMUTHAL_ORDER = 5
 MAX_RADIAL_ORDER = 5
 
+#: _BESSEL_ZEROS[l][m - 1] is the m-th positive zero j_{l,m} of J_l, written as
+#: the shortest repr of the nearest double.  The tests check every entry for
+#: exact equality against a reference zero finder.
+_BESSEL_ZEROS = (
+    (2.4048255576957724, 5.520078110286311, 8.653727912911013, 11.791534439014281, 14.930917708487787),
+    (3.8317059702075125, 7.015586669815619, 10.173468135062722, 13.323691936314223, 16.470630050877634),
+    (5.135622301840683, 8.417244140399866, 11.61984117214906, 14.795951782351262, 17.959819494987826),
+    (6.380161895923984, 9.76102312998167, 13.015200721698434, 16.223466160318768, 19.409415226435012),
+    (7.588342434503804, 11.064709488501185, 14.37253667161759, 17.615966049804832, 20.826932956962388),
+    (8.771483815959954, 12.338604197466944, 15.70017407971167, 18.98013387517992, 22.217799896561267),
+)
+
 #: Default relative half-width of the guard band around wall resonances.
 DEFAULT_RESONANCE_EXCLUSION = 0.03
 
@@ -81,14 +91,14 @@ class ResonanceProximityError(ValueError):
 def bessel_zero(l: int, m: int) -> float:
     """m-th positive zero of the Bessel function J_l.
 
-    Supported range is 0 <= l <= 5, 1 <= m <= 5; values are accurate to
-    well below 1e-10 absolute.
+    Supported range is 0 <= l <= 5, 1 <= m <= 5; values are read from a
+    constant table accurate to well below 1e-10 absolute.
     """
     if not (0 <= l <= MAX_AZIMUTHAL_ORDER):
         raise ValueError(f"azimuthal order l={l} outside supported range 0..{MAX_AZIMUTHAL_ORDER}")
     if not (1 <= m <= MAX_RADIAL_ORDER):
         raise ValueError(f"radial order m={m} outside supported range 1..{MAX_RADIAL_ORDER}")
-    return float(jn_zeros(l, m)[m - 1])
+    return _BESSEL_ZEROS[l][m - 1]
 
 
 @dataclass(frozen=True)

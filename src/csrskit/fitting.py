@@ -27,7 +27,7 @@ raised; the best iterate is always returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +120,6 @@ class FitResult:
     residual_norm: float
     converged: bool
     iterations: int = 0
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _linear_errors(design: np.ndarray, weights: np.ndarray, residuals: np.ndarray) -> np.ndarray | None:

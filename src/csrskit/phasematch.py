@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.constants import c as _C_M_PER_S
-
 from csrskit.core_model import (
     DEFAULT_RESONANCE_EXCLUSION,
     FiberGeometry,
@@ -58,6 +56,8 @@ __all__ = [
 
 FIELD_NAMES = ("pump1", "pump2", "probe", "signal")
 _SIGNS = {"pump1": +1.0, "pump2": -1.0, "probe": +1.0, "signal": -1.0}
+#: Speed of light in vacuum, exact by the SI definition of the metre.
+_C_M_PER_S = 299_792_458.0
 
 
 class InfeasibleSchemeError(ValueError):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 import yaml
 
@@ -278,3 +282,29 @@ class TestGlobalBehavior:
     def test_seed_recorded(self, tmp_path):
         run("--config", SHIPPED, "--out", str(tmp_path), "--seed", "42", "screen")
         assert "# seed: 42" in (tmp_path / "raman_screen.csv").read_text()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command,option,csv",
+        [
+            ("phase-match", "pressures", "phase_match.csv"),
+            ("efficiency", "lengths", "efficiency_vs_length.csv"),
+            ("bend", "radii", "bend_accessibility.csv"),
+        ],
+    )
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, command, option, csv, bad):
+        for text in (f"{bad}:100:5", f"1:{bad}:3"):
+            assert run("--config", SHIPPED, "--out", str(tmp_path), command, f"--{option}={text}") == 2
+            assert f"{option}: start and stop must be finite" in capsys.readouterr().err
+        assert not (tmp_path / csv).exists()
+
+    @pytest.mark.parametrize("text", ["abc:1:3", "1:5:2.5", "1:5"])
+    def test_malformed_range_names_the_option(self, tmp_path, capsys, text):
+        assert run("--config", SHIPPED, "--out", str(tmp_path), "efficiency", "--lengths", text) == 2
+        assert f"lengths: expected start:stop:count, got {text!r}" in capsys.readouterr().err
+
+    def test_cli_import_does_not_load_scipy(self):
+        code = "import csrskit.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jn_zeros
 
 from csrskit.core_model import (
     DispersionDomainError,
@@ -10,6 +11,8 @@ from csrskit.core_model import (
     GasDispersion,
     LP01,
     LP11,
+    MAX_AZIMUTHAL_ORDER,
+    MAX_RADIAL_ORDER,
     ModeLabel,
     ResonanceProximityError,
     bessel_zero,
@@ -75,6 +78,24 @@ class TestBesselZero:
     def test_range_errors(self, l, m):
         with pytest.raises(ValueError):
             bessel_zero(l, m)
+
+    @pytest.mark.parametrize(
+        "l,m,match",
+        [
+            (-1, 1, "azimuthal order l=-1"),
+            (6, 5, "azimuthal order l=6"),
+            (5, 0, "radial order m=0"),
+            (0, 6, "radial order m=6"),
+        ],
+    )
+    def test_range_error_names_the_order(self, l, m, match):
+        with pytest.raises(ValueError, match=match):
+            bessel_zero(l, m)
+
+    @pytest.mark.parametrize("l", range(MAX_AZIMUTHAL_ORDER + 1))
+    @pytest.mark.parametrize("m", range(1, MAX_RADIAL_ORDER + 1))
+    def test_table_equals_scipy_exactly(self, l, m):
+        assert bessel_zero(l, m) == float(jn_zeros(l, m)[m - 1])
 
     def test_mode_label_carries_zero(self):
         assert ModeLabel(0, 1).bessel_zero == bessel_zero(0, 1)

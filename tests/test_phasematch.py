@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_M_PER_S
 
+from csrskit import phasematch
 from csrskit.core_model import LP01, LP11, FiberGeometry
 from csrskit.phasematch import (
     AcceptanceWidth,
@@ -72,6 +73,9 @@ class TestSignalWavelength:
 
 
 class TestRamanBeat:
+    def test_speed_of_light_equals_scipy(self):
+        assert phasematch._C_M_PER_S == C_M_PER_S
+
     def test_reference_pumps(self):
         expected = C_M_PER_S * (1.0 / 942e-9 - 1.0 / 1550e-9) * 1e-12
         assert raman_beat_thz(1550.0, 942.0) == pytest.approx(expected, rel=1e-15)
