@@ -26,8 +26,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from csrskit import __version__
 from csrskit.bendloss import DEFAULT_CLADDING_PAIRS, EMPIRICAL_LP01_CUTOFF_M, critical_bend_radius, mode_accessibility
 from csrskit.config import ConfigError, ToolkitConfig, load_config
@@ -40,7 +38,6 @@ from csrskit.efficiency import (
     predicted_efficiency,
     project_length_scaling,
 )
-from csrskit.fitting import DataSeries, fit_bend_saturation, fit_cutback, fit_efficiency_length
 from csrskit.phasematch import (
     InfeasibleSchemeError,
     NoRootError,
@@ -76,7 +73,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_range(text: str, path: str = "range") -> np.ndarray:
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``count`` evenly spaced points from start to stop, bit for bit as NumPy's ``linspace``.
+
+    Pure Python, so that the subcommands other than ``fit`` load no array
+    library; the arithmetic and its order follow NumPy's, so the CSVs
+    are the same doubles.
+    """
+    delta = stop - start
+    if count == 1:
+        return [0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0:  # NumPy's route for a zero or underflowing step
+        points = [k / div * delta + start for k in range(div)]
+    else:
+        points = [k * step + start for k in range(div)]
+    points.append(stop)
+    return points
+
+
+def _parse_range(text: str, path: str = "range") -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{path}: expected start:stop:count, got {text!r}")
@@ -88,17 +105,17 @@ def _parse_range(text: str, path: str = "range") -> np.ndarray:
         raise ValueError(f"{path}: start and stop must be finite")
     if count < 1:
         raise ValueError(f"{path}: count must be >= 1")
-    return np.linspace(start, stop, count)
+    return _linspace(start, stop, count)
 
 
-def _sweep_values(args, option: str, config: ToolkitConfig, name: str, fallback: tuple[float, float, int]) -> np.ndarray:
+def _sweep_values(args, option: str, config: ToolkitConfig, name: str, fallback: tuple[float, float, int]) -> list[float]:
     arg = getattr(args, option)
     if arg is not None:
         return _parse_range(arg, option)
     configured = config.sweep(name)
     if configured is not None:
-        return np.linspace(configured[0], configured[1], int(configured[2]))
-    return np.linspace(*fallback[:2], fallback[2])
+        return _linspace(configured[0], configured[1], int(configured[2]))
+    return _linspace(*fallback)
 
 
 def _write_table(path: Path, config: ToolkitConfig, command: str, seed: int, columns, rows, extra_meta=()) -> None:
@@ -129,21 +146,27 @@ def cmd_phase_match(config: ToolkitConfig, args, out_dir: Path) -> int:
     exclusion = config.resonance_exclusion_rel()
     length = config.fiber_length_m()
     pressures = _sweep_values(args, "pressures", config, "pressure_bar", (1.0, 150.0, 150))
+    if not 0.0 <= pressures[0] < pressures[-1]:
+        source = "pressures" if args.pressures is not None else "sweeps.pressure_bar"
+        raise ValueError(
+            f"{source}: the grid {_fmt(pressures[0])}..{_fmt(pressures[-1])} bar cannot bracket the optimum;"
+            " the window needs 0 <= start < stop"
+        )
 
     solution = optimal_pressure(
         scheme,
         t_k,
         geom,
         gas,
-        bracket=(float(pressures[0]), float(pressures[-1])),
+        bracket=(pressures[0], pressures[-1]),
         variant=variant,
         resonance_exclusion_rel=exclusion,
     )
 
     rows = []
     for p in pressures:
-        db = delta_beta(scheme, float(p), t_k, geom, gas, variant=variant, resonance_exclusion_rel=exclusion)
-        rows.append((float(p), db, phase_matching_factor(db, length)))
+        db = delta_beta(scheme, p, t_k, geom, gas, variant=variant, resonance_exclusion_rel=exclusion)
+        rows.append((p, db, phase_matching_factor(db, length)))
     rows.append((solution.pressure_bar, solution.residual_rad_per_m, phase_matching_factor(solution.residual_rad_per_m, length)))
 
     path = out_dir / "phase_match.csv"
@@ -176,9 +199,9 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
         for length in lengths:
-            eta = predicted_efficiency(model, pump1, pump2, probe, float(length))
+            eta = predicted_efficiency(model, pump1, pump2, probe, length)
             exceeded = exceeded or eta > 1.0
-            rows.append((float(length), eta))
+            rows.append((length, eta))
 
     extra = []
     try:
@@ -260,11 +283,11 @@ def cmd_bend(config: ToolkitConfig, args, out_dir: Path) -> int:
 
     rows = []
     for radius in radii:
-        access = mode_accessibility(geom, probe_nm, float(radius), modes=modes, is_probe=True)
+        access = mode_accessibility(geom, probe_nm, radius, modes=modes, is_probe=True)
         flags = {str(a.mode): a for a in access}
         rows.append(
             (
-                float(radius),
+                radius,
                 not flags["LP01"].suppressed,
                 not flags["LP11"].suppressed,
                 flags["LP01"].limiting_radius_m,
@@ -342,6 +365,9 @@ def cmd_screen(config: ToolkitConfig, args, out_dir: Path) -> int:
 
 
 def cmd_fit(config: ToolkitConfig, args, out_dir: Path) -> int:
+    # fitting is the only NumPy user; importing it here keeps NumPy out of every other subcommand
+    from csrskit.fitting import DataSeries, fit_bend_saturation, fit_cutback, fit_efficiency_length
+
     series = DataSeries.from_csv(args.data)
     if args.kind == "cutback":
         result = fit_cutback(series)

@@ -95,6 +95,9 @@ def _sweep(value, path: str) -> list:
         raise ConfigError(f"{path}: expected [start, stop, count]")
     start = _number(value[0], f"{path}[0]")
     stop = _number(value[1], f"{path}[1]")
+    for index, bound in enumerate((start, stop)):
+        if not math.isfinite(bound):
+            raise ConfigError(f"{path}[{index}]: must be finite, got {bound!r}")
     count = _integer(value[2], f"{path}[2]")
     if count < 1:
         raise ConfigError(f"{path}[2]: count must be >= 1")

@@ -41,6 +41,7 @@ __all__ = [
     "LossBookkeeping",
     "ScalingProjection",
     "alpha_linear",
+    "efficiency_from_powers",
     "predicted_efficiency",
     "max_power_efficiency",
     "optimal_length",
@@ -109,7 +110,7 @@ class EfficiencyModel:
             raise ValueError("signal attenuation must be non-negative")
 
 
-def _efficiency_core(
+def efficiency_from_powers(
     model: EfficiencyModel,
     p1_w: float,
     p2_w: float,
@@ -119,6 +120,13 @@ def _efficiency_core(
     length_m: float,
     sinc_factor: float,
 ) -> float:
+    """Efficiency (fraction) from coupled pump powers and beam attenuations in dB/m.
+
+    The model's loss-variant formula with no input checks and no
+    ModelValidityWarning; predicted_efficiency and the other public
+    entry points check their inputs and call it.  p1_w and p2_w are the
+    powers inside the fiber, incoupling already applied.
+    """
     base = model.coefficient_pct_per_w2m2 / 100.0 * p1_w * p2_w * sinc_factor
     a1 = alpha_linear(alpha1_db)
     a2 = alpha_linear(alpha2_db)
@@ -154,7 +162,7 @@ def predicted_efficiency(
         raise ValueError("length must be positive")
     if not 0.0 <= sinc_factor <= 1.0:
         raise ValueError("sinc_factor must lie in [0, 1]")
-    eta = _efficiency_core(
+    eta = efficiency_from_powers(
         model,
         pump1.coupled_power_w,
         pump2.coupled_power_w,
@@ -194,7 +202,7 @@ def max_power_efficiency(
         raise ValueError("length must be positive")
     i1 = pump1.incoupling if pump1 is not None else 1.0
     i2 = pump2.incoupling if pump2 is not None else 1.0
-    eta = _efficiency_core(
+    eta = efficiency_from_powers(
         model,
         p1_max_w * i1,
         p2_max_w * i2,
@@ -251,7 +259,7 @@ def optimal_length(
         )
 
     def eta_of_log(u: float) -> float:
-        return _efficiency_core(
+        return efficiency_from_powers(
             model, pump1.coupled_power_w, pump2.coupled_power_w, a1, a2, ap, math.exp(u), sinc_factor
         )
 
@@ -357,7 +365,7 @@ def project_length_scaling(
     p2 = pump2_power_w * incoupling
 
     def eta(length_m: float) -> float:
-        return _efficiency_core(
+        return efficiency_from_powers(
             model, p1, p2, attenuation_db_per_m, attenuation_db_per_m, attenuation_db_per_m, length_m, 1.0
         )
 

@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from csrskit.efficiency import EfficiencyModel, efficiency_from_powers
+
 __all__ = [
     "DataSeries",
     "FitResult",
@@ -165,8 +167,6 @@ def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe, sinc_f
     the model, they are not fitted); only the overall coefficient scales.
     C is reported in % / (W^2 m^2).
     """
-    from csrskit.efficiency import EfficiencyModel, _efficiency_core
-
     if np.all(series.y == 0):
         raise ValueError("all efficiencies are zero; the coefficient is unidentifiable")
     unit = EfficiencyModel(
@@ -176,7 +176,7 @@ def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe, sinc_f
     )
     shape = np.array(
         [
-            _efficiency_core(
+            efficiency_from_powers(
                 unit,
                 pump1.coupled_power_w,
                 pump2.coupled_power_w,

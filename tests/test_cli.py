@@ -1,11 +1,15 @@
+import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csrskit.cli import main
+from csrskit.cli import _linspace, main
 from csrskit.config import load_config
 from tests.conftest import REPO_ROOT
 
@@ -75,6 +79,20 @@ class TestPhaseMatch:
         )
         assert run("--config", path, "--out", str(tmp_path), "phase-match") == 2
         assert "no phase-matching root" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize("window", [(110.0, 60.0, 11), (80.0, 80.0, 1), (80.0, 100.0, 1), (-5.0, 100.0, 11)])
+    def test_grid_that_cannot_bracket_names_its_source(self, tmp_path, capsys, window, from_config):
+        if from_config:
+            path = modified_config(tmp_path, lambda t: t["sweeps"].update({"pressure_bar": list(window)}))
+            argv, source = [], "sweeps.pressure_bar"
+        else:
+            path, argv, source = SHIPPED, [f"--pressures={':'.join(map(str, window))}"], "pressures"
+        assert run("--config", path, "--out", str(tmp_path), "phase-match", *argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {source}: " in err
+        assert "the window needs 0 <= start < stop" in err
+        assert not (tmp_path / "phase_match.csv").exists()
 
     def test_deterministic_output(self, tmp_path):
         run("--config", SHIPPED, "--out", str(tmp_path / "a"), "phase-match", "--pressures", "60:110:11")
@@ -303,8 +321,62 @@ class TestGlobalBehavior:
         assert run("--config", SHIPPED, "--out", str(tmp_path), "efficiency", "--lengths", text) == 2
         assert f"lengths: expected start:stop:count, got {text!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize(
+        "command,key,csv",
+        [
+            ("phase-match", "pressure_bar", "phase_match.csv"),
+            ("efficiency", "length_m", "efficiency_vs_length.csv"),
+            ("bend", "radius_m", "bend_accessibility.csv"),
+        ],
+    )
+    def test_non_finite_config_sweep_exits_2(self, tmp_path, capsys, command, key, csv, index, bad):
+        def mutate(tree):
+            tree["sweeps"][key][index] = bad
+
+        path = modified_config(tmp_path, mutate)
+        assert run("--config", path, "--out", str(tmp_path), command) == 2
+        assert f"sweeps.{key}[{index}]: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / csv).exists()
+
     def test_cli_import_does_not_load_scipy(self):
-        code = "import csrskit.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        assert fresh_interpreter_packages(["import csrskit.cli"]) == []
+
+    def test_only_fit_loads_numpy(self, tmp_path):
+        def call(*argv):
+            return f"assert csrskit.cli.main({['--config', SHIPPED, '--out', str(tmp_path), *argv]!r}) == 0"
+
+        lines = ["import csrskit.cli"]
+        lines += [call(command) for command in ("phase-match", "efficiency", "bend", "screen")]
+        assert fresh_interpreter_packages(lines) == []
+        # the same kind of run sees numpy once fit is called, so the check above can fail
+        lines.append(call("fit", "--kind", "cutback", "--data", CUTBACK_DATA))
+        assert fresh_interpreter_packages(lines) == ["numpy"]
+
+
+def fresh_interpreter_packages(lines) -> list:
+    """Run lines in a fresh PYTHONPATH=src interpreter; return which of numpy and scipy it loaded."""
+    report = "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))"
+    code = "\n".join(["import json, sys", *lines, report])
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300]),
+)
+
+
+@given(start=_FINITE, stop=_FINITE, count=st.integers(min_value=1, max_value=500), same=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_linspace_matches_numpy_bit_for_bit(start, stop, count, same):
+    if same:
+        stop = start
+    with np.errstate(all="ignore"):  # finite bounds far apart overflow to inf steps in both
+        expected = np.linspace(start, stop, count).tolist()
+    # hex strings, because == would hide a -0.0/0.0 swap that the CSV prints differently
+    assert [x.hex() for x in _linspace(start, stop, count)] == [x.hex() for x in expected]
