@@ -18,6 +18,7 @@ from csrskit.core_model import (
     LP11,
     ModeLabel,
     bessel_zero,
+    core_index_curve,
     effective_core_index,
     gas_index,
     marcatili_mode_index,
@@ -27,6 +28,7 @@ from csrskit.core_model import (
 from csrskit.phasematch import (
     ConversionScheme,
     delta_beta,
+    mismatch_curve,
     optimal_pressure,
     phase_matching_factor,
     pressure_acceptance,

@@ -43,7 +43,7 @@ from csrskit.phasematch import (
     NoRootError,
     NoSolutionError,
     SchemeDetuningError,
-    delta_beta,
+    mismatch_curve,
     optimal_pressure,
     phase_matching_factor,
 )
@@ -103,9 +103,16 @@ def _parse_range(text: str, path: str = "range") -> list[float]:
         raise ValueError(f"{path}: expected start:stop:count, got {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"{path}: start and stop must be finite")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"{path}: the span stop - start overflows")
     if count < 1:
         raise ValueError(f"{path}: count must be >= 1")
     return _linspace(start, stop, count)
+
+
+def _sweep_source(args, option: str, name: str) -> str:
+    """Where a sweep grid came from, for error messages: the CLI option or the config key."""
+    return option if getattr(args, option) is not None else f"sweeps.{name}"
 
 
 def _sweep_values(args, option: str, config: ToolkitConfig, name: str, fallback: tuple[float, float, int]) -> list[float]:
@@ -147,7 +154,7 @@ def cmd_phase_match(config: ToolkitConfig, args, out_dir: Path) -> int:
     length = config.fiber_length_m()
     pressures = _sweep_values(args, "pressures", config, "pressure_bar", (1.0, 150.0, 150))
     if not 0.0 <= pressures[0] < pressures[-1]:
-        source = "pressures" if args.pressures is not None else "sweeps.pressure_bar"
+        source = _sweep_source(args, "pressures", "pressure_bar")
         raise ValueError(
             f"{source}: the grid {_fmt(pressures[0])}..{_fmt(pressures[-1])} bar cannot bracket the optimum;"
             " the window needs 0 <= start < stop"
@@ -163,9 +170,10 @@ def cmd_phase_match(config: ToolkitConfig, args, out_dir: Path) -> int:
         resonance_exclusion_rel=exclusion,
     )
 
+    mismatch = mismatch_curve(scheme, t_k, geom, gas, variant=variant, resonance_exclusion_rel=exclusion)
     rows = []
     for p in pressures:
-        db = delta_beta(scheme, p, t_k, geom, gas, variant=variant, resonance_exclusion_rel=exclusion)
+        db = mismatch(p)
         rows.append((p, db, phase_matching_factor(db, length)))
     rows.append((solution.pressure_bar, solution.residual_rad_per_m, phase_matching_factor(solution.residual_rad_per_m, length)))
 
@@ -199,7 +207,11 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelValidityWarning)
         for length in lengths:
-            eta = predicted_efficiency(model, pump1, pump2, probe, length)
+            try:
+                eta = predicted_efficiency(model, pump1, pump2, probe, length)
+            except OverflowError:
+                source = _sweep_source(args, "lengths", "length_m")
+                raise ValueError(f"{source}: the efficiency at {_fmt(length)} m overflows") from None
             exceeded = exceeded or eta > 1.0
             rows.append((length, eta))
 
@@ -227,7 +239,10 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     if power_product > 0.0:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelValidityWarning)
-            per_w2_pct = predicted_efficiency(model, pump1, pump2, probe, length) / power_product * 100.0
+            try:
+                per_w2_pct = predicted_efficiency(model, pump1, pump2, probe, length) / power_product * 100.0
+            except OverflowError:
+                raise ValueError(f"fields.fiber_length_m: the efficiency at {_fmt(length)} m overflows") from None
     if per_w2_pct is not None and model.loss_variant == "lumped-exponential":
         book = loss_bookkeeping(
             model.coefficient_pct_per_w2m2,

@@ -44,7 +44,13 @@ def _require(block: dict, path: str, key: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return number
 
 
 def _integer(value, path: str) -> int:
@@ -64,7 +70,7 @@ def _check_keys(block: dict, path: str, allowed: set[str]) -> None:
 
 def _wall_index(value, path: str):
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _number(value, path)
     if isinstance(value, dict):
         _check_keys(value, path, {"sellmeier", "table"})
         if len(value) != 1:
@@ -95,9 +101,8 @@ def _sweep(value, path: str) -> list:
         raise ConfigError(f"{path}: expected [start, stop, count]")
     start = _number(value[0], f"{path}[0]")
     stop = _number(value[1], f"{path}[1]")
-    for index, bound in enumerate((start, stop)):
-        if not math.isfinite(bound):
-            raise ConfigError(f"{path}[{index}]: must be finite, got {bound!r}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"{path}: the span stop - start overflows")
     count = _integer(value[2], f"{path}[2]")
     if count < 1:
         raise ConfigError(f"{path}[2]: count must be >= 1")
@@ -426,6 +431,6 @@ def load_config(path: str | Path) -> ToolkitConfig:
         (config.temperature_k(), "gas.temperature_k"),
         (config.fiber_length_m(), "fields.fiber_length_m"),
     ):
-        if not (isinstance(value, float) and math.isfinite(value)) or value <= 0:
+        if value <= 0:  # _number already rejected non-finite values
             raise ConfigError(f"{label}: must be a positive finite number")
     return config

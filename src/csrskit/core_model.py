@@ -55,6 +55,7 @@ __all__ = [
     "marcatili_mode_index",
     "resonance_wavelengths",
     "transmission_window",
+    "core_index_curve",
     "effective_core_index",
 ]
 
@@ -78,6 +79,9 @@ _BESSEL_ZEROS = (
 DEFAULT_RESONANCE_EXCLUSION = 0.03
 
 INDEX_VARIANTS = ("zeisberger", "marcatili")
+
+_TWO_PI = 2.0 * math.pi
+_EIGHT_PI_CUBED = 8.0 * math.pi**3
 
 
 class DispersionDomainError(ValueError):
@@ -284,13 +288,91 @@ def _check_resonance_proximity(
 ) -> None:
     lam1_nm = 2.0 * wall_thickness_um * 1e3 * math.sqrt(wall_index**2 - 1.0)
     m_near = lam1_nm / wavelength_nm
-    for m in {max(1, math.floor(m_near)), max(1, math.ceil(m_near))}:
+    m_lo, m_hi = math.floor(m_near), math.ceil(m_near)
+    # the orders either side of m_near, at least 1; a conditional costs less than max()
+    for m in {m_lo if m_lo > 1 else 1, m_hi if m_hi > 1 else 1}:
         lam_m = lam1_nm / m
         if abs(wavelength_nm - lam_m) <= exclusion_rel * lam_m:
             raise ResonanceProximityError(
                 f"{wavelength_nm:.2f} nm is within {exclusion_rel:.1%} of the m={m} "
                 f"wall resonance at {lam_m:.2f} nm; the analytic index model is invalid there"
             )
+
+
+def core_index_curve(
+    geom: FiberGeometry,
+    gas: GasDispersion,
+    wavelength_nm: float,
+    temperature_k: float,
+    mode: ModeLabel = LP01,
+    variant: str = "zeisberger",
+    resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
+) -> Callable[[float], float]:
+    """Effective index of a leaky core mode as a function of pressure (bar).
+
+    variant "zeisberger" includes the thin-wall reflection correction of
+    the Zeisberger tube-fiber model (hybrid-mode flavor),
+
+        n_eff = n_gas - (j lambda / 2 pi r)^2 / (2 n_gas)
+                - (j^2 lambda^3 / 8 pi^3 r^3) * (eps + 1) / (2 sqrt(eps - 1)) * cot(phi)
+
+    with eps = (n_wall / n_gas)^2 and phi = (2 pi t / lambda)
+    sqrt(n_wall^2 - n_gas^2).  variant "marcatili" drops the wall term.
+    Callers that persist results should record the variant used.
+
+    Everything that does not depend on pressure is checked and computed
+    here, once: ResonanceProximityError (the wavelength is within
+    resonance_exclusion_rel of a wall resonance of the geometry), the
+    wavelength, temperature and refractivity-pole checks, the Marcatili
+    term and the wall-term constants.  The returned function does only
+    the pressure check, the gas index and the wall term, with the
+    arithmetic in the same order as a direct evaluation.
+    """
+    if variant not in INDEX_VARIANTS:
+        raise ValueError(f"unknown index variant {variant!r}; expected one of {INDEX_VARIANTS}")
+    n_wall = geom.wall_refractive_index(wavelength_nm)
+    _check_resonance_proximity(wavelength_nm, geom.wall_thickness_um, n_wall, resonance_exclusion_rel)
+    if wavelength_nm <= 0:
+        raise ValueError("wavelength must be positive")
+    if temperature_k <= 0:
+        raise ValueError("temperature must be positive")
+    refractivity = gas.reference_refractivity(wavelength_nm)
+    reference_pressure = gas.reference_pressure_bar
+    temperature_ratio = gas.reference_temperature_k / temperature_k
+    compressibility = gas.compressibility
+
+    lam_m = wavelength_nm * 1e-9
+    r_m = geom.core_radius_um * 1e-6
+    j = _BESSEL_ZEROS[mode.l][mode.m - 1]  # ModeLabel checked the orders on construction
+    u = j * lam_m / (_TWO_PI * r_m)
+    half_u2 = 0.5 * u * u
+    marcatili = variant == "marcatili"
+    if not marcatili:
+        t_m = geom.wall_thickness_um * 1e-6
+        n_wall2 = n_wall**2
+        phase_coefficient = _TWO_PI * t_m / lam_m
+        wall_prefactor = j**2 * lam_m**3 / (_EIGHT_PI_CUBED * r_m**3)
+
+    def n_eff_of(pressure_bar: float) -> float:
+        if pressure_bar < 0:
+            raise ValueError("pressure must be non-negative")
+        if pressure_bar == 0.0:
+            n_g = 1.0
+        else:
+            # gas_index and GasDispersion.relative_density, inlined
+            rho = (pressure_bar / reference_pressure) * temperature_ratio
+            if compressibility is not None:
+                rho = rho / compressibility(pressure_bar, temperature_k)
+            n_g = math.sqrt(1.0 + rho * refractivity)
+        n_eff = n_g - half_u2 / n_g
+        if marcatili:
+            return n_eff
+        eps = (n_wall / n_g) ** 2
+        phi = phase_coefficient * math.sqrt(n_wall2 - n_g**2)
+        polarization_factor = (eps + 1.0) / (2.0 * math.sqrt(eps - 1.0))
+        return n_eff - wall_prefactor * polarization_factor / math.tan(phi)
+
+    return n_eff_of
 
 
 def effective_core_index(
@@ -303,37 +385,6 @@ def effective_core_index(
     variant: str = "zeisberger",
     resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
 ) -> float:
-    """Effective index of a leaky core mode.
-
-    variant "zeisberger" includes the thin-wall reflection correction of
-    the Zeisberger tube-fiber model (hybrid-mode flavor),
-
-        n_eff = n_gas - (j lambda / 2 pi r)^2 / (2 n_gas)
-                - (j^2 lambda^3 / 8 pi^3 r^3) * (eps + 1) / (2 sqrt(eps - 1)) * cot(phi)
-
-    with eps = (n_wall / n_gas)^2 and phi = (2 pi t / lambda)
-    sqrt(n_wall^2 - n_gas^2).  variant "marcatili" drops the wall term.
-    Callers that persist results should record the variant used.
-
-    Raises ResonanceProximityError when the wavelength is within
-    resonance_exclusion_rel of a wall resonance of the geometry.
-    """
-    if variant not in INDEX_VARIANTS:
-        raise ValueError(f"unknown index variant {variant!r}; expected one of {INDEX_VARIANTS}")
-    n_wall = geom.wall_refractive_index(wavelength_nm)
-    _check_resonance_proximity(wavelength_nm, geom.wall_thickness_um, n_wall, resonance_exclusion_rel)
-
-    n_g = gas_index(gas, wavelength_nm, pressure_bar, temperature_k)
-    lam_m = wavelength_nm * 1e-9
-    r_m = geom.core_radius_um * 1e-6
-    u = mode.bessel_zero * lam_m / (2.0 * math.pi * r_m)
-    n_eff = n_g - 0.5 * u * u / n_g
-    if variant == "marcatili":
-        return n_eff
-
-    t_m = geom.wall_thickness_um * 1e-6
-    eps = (n_wall / n_g) ** 2
-    phi = (2.0 * math.pi * t_m / lam_m) * math.sqrt(n_wall**2 - n_g**2)
-    polarization_factor = (eps + 1.0) / (2.0 * math.sqrt(eps - 1.0))
-    wall_term = (mode.bessel_zero**2 * lam_m**3 / (8.0 * math.pi**3 * r_m**3)) * polarization_factor / math.tan(phi)
-    return n_eff - wall_term
+    """Effective index of a leaky core mode at one pressure; see core_index_curve."""
+    curve = core_index_curve(geom, gas, wavelength_nm, temperature_k, mode, variant, resonance_exclusion_rel)
+    return curve(pressure_bar)

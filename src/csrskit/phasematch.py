@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from csrskit.core_model import (
     DEFAULT_RESONANCE_EXCLUSION,
@@ -31,6 +32,7 @@ from csrskit.core_model import (
     GasDispersion,
     LP01,
     ModeLabel,
+    core_index_curve,
     effective_core_index,
 )
 
@@ -47,6 +49,7 @@ __all__ = [
     "signal_wavelength",
     "raman_beat_thz",
     "propagation_constant",
+    "mismatch_curve",
     "delta_beta",
     "optimal_pressure",
     "phase_matching_factor",
@@ -185,6 +188,48 @@ def propagation_constant(
     return 2.0 * math.pi / (wavelength_nm * 1e-9) * n_eff
 
 
+def mismatch_curve(
+    scheme: ConversionScheme,
+    temperature_k: float,
+    geom: FiberGeometry,
+    gas: GasDispersion,
+    modes: dict[str, ModeLabel] | ModeLabel | None = None,
+    variant: str = "zeisberger",
+    resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
+) -> Callable[[float], float]:
+    """Phase mismatch of the scheme as a function of pressure (bar), in rad/m.
+
+    All four fields propagate in the fundamental mode unless modes
+    supplies per-field overrides ({"pump1": ..., "probe": ...}) or a
+    single ModeLabel for all of them.  The mode map and each field's
+    pressure-independent index work are validated and computed once,
+    here, so a ResonanceProximityError surfaces when the curve is built.
+    """
+    if modes is None:
+        modes = LP01
+    if isinstance(modes, ModeLabel):
+        field_modes = (modes,) * len(FIELD_NAMES)
+    else:
+        unknown = set(modes) - set(FIELD_NAMES)
+        if unknown:
+            raise ValueError(f"unknown field names in mode overrides: {sorted(unknown)}")
+        field_modes = tuple(modes.get(name, LP01) for name in FIELD_NAMES)
+
+    # (signed vacuum wavenumber +-2 pi / lambda, n_eff(p)) per field, in scheme order
+    terms = []
+    for (name, lam), mode in zip(scheme.wavelengths_nm().items(), field_modes):
+        n_eff = core_index_curve(geom, gas, lam, temperature_k, mode, variant, resonance_exclusion_rel)
+        terms.append((_SIGNS[name] * (2.0 * math.pi / (lam * 1e-9)), n_eff))
+
+    def mismatch(pressure_bar: float) -> float:
+        total = 0.0
+        for k0, n_eff in terms:
+            total += k0 * n_eff(pressure_bar)
+        return total
+
+    return mismatch
+
+
 def delta_beta(
     scheme: ConversionScheme,
     pressure_bar: float,
@@ -195,29 +240,8 @@ def delta_beta(
     variant: str = "zeisberger",
     resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
 ) -> float:
-    """Phase mismatch of the scheme at the given pressure, in rad/m.
-
-    All four fields propagate in the fundamental mode unless modes
-    supplies per-field overrides ({"pump1": ..., "probe": ...}) or a
-    single ModeLabel for all of them.
-    """
-    if modes is None:
-        mode_map = {name: LP01 for name in FIELD_NAMES}
-    elif isinstance(modes, ModeLabel):
-        mode_map = {name: modes for name in FIELD_NAMES}
-    else:
-        unknown = set(modes) - set(FIELD_NAMES)
-        if unknown:
-            raise ValueError(f"unknown field names in mode overrides: {sorted(unknown)}")
-        mode_map = {name: modes.get(name, LP01) for name in FIELD_NAMES}
-
-    total = 0.0
-    for name, lam in scheme.wavelengths_nm().items():
-        beta = propagation_constant(
-            lam, pressure_bar, temperature_k, geom, gas, mode_map[name], variant, resonance_exclusion_rel
-        )
-        total += _SIGNS[name] * beta
-    return total
+    """Phase mismatch of the scheme at one pressure, in rad/m; see mismatch_curve."""
+    return mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)(pressure_bar)
 
 
 def phase_matching_factor(delta_beta_rad_per_m: float, length_m: float) -> float:
@@ -300,14 +324,11 @@ def optimal_pressure(
     NoRootError carries the sampled endpoint values.  The root is
     polished until |delta_beta| < ftol_rad_per_m.
     """
-
-    def f(p: float) -> float:
-        return delta_beta(scheme, p, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
-
     p_lo, p_hi = bracket
     if not (0.0 <= p_lo < p_hi):
         raise ValueError("bracket must satisfy 0 <= p_lo < p_hi")
-    root, residual, iterations = _bracketed_root(f, p_lo, p_hi, ftol_rad_per_m, "delta_beta")
+    mismatch = mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
+    root, residual, iterations = _bracketed_root(mismatch, p_lo, p_hi, ftol_rad_per_m, "delta_beta")
     return PressureSolution(pressure_bar=root, residual_rad_per_m=residual, iterations=iterations)
 
 
@@ -332,10 +353,10 @@ def pressure_acceptance(
     """
     if scan_limits is None:
         scan_limits = (0.0, 3.0 * p_opt_bar + 10.0)
+    mismatch = mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
 
     def factor(p: float) -> float:
-        db = delta_beta(scheme, p, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
-        return phase_matching_factor(db, length_m)
+        return phase_matching_factor(mismatch(p), length_m)
 
     def crossing(toward: float) -> float | None:
         # first pressure where the factor falls below 1/2, refined by bisection

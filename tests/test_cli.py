@@ -46,6 +46,21 @@ def modified_config(tmp_path, mutate, name="config.yaml"):
     return str(path)
 
 
+def _numeric_leaves(node=None, path=()) -> list:
+    """Key paths of every number in the shipped config."""
+    if node is None:
+        node = yaml.safe_load((REPO_ROOT / "configs" / "h2_914nm.yaml").read_text())
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items() for leaf in _numeric_leaves(value, path + (key,))]
+    if isinstance(node, list):
+        return [leaf for index, value in enumerate(node) for leaf in _numeric_leaves(value, path + (index,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
 class TestPhaseMatch:
     def test_row_count_is_samples_plus_optimum(self, tmp_path):
         assert run("--config", SHIPPED, "--out", str(tmp_path), "phase-match", "--pressures", "60:110:21") == 0
@@ -339,6 +354,60 @@ class TestGlobalBehavior:
         assert run("--config", path, "--out", str(tmp_path), command) == 2
         assert f"sweeps.{key}[{index}]: must be finite" in capsys.readouterr().err
         assert not (tmp_path / csv).exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("path", _numeric_leaves())
+    def test_non_finite_config_leaf_exits_2(self, tmp_path, capsys, path, bad):
+        def mutate(tree):
+            node = tree
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+
+        config = modified_config(tmp_path, mutate)
+        assert run("--config", config, "--out", str(tmp_path / "out"), "screen") == 2
+        assert f"{_dotted(path)}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,option,key,grid,csv",
+        [
+            ("bend", "radii", "radius_m", (-1e308, 1e308, 3), "bend_accessibility.csv"),
+            ("efficiency", "lengths", "length_m", (-1e308, 1e308, 3), "efficiency_vs_length.csv"),
+            ("phase-match", "pressures", "pressure_bar", (-1e308, 1e308, 3), "phase_match.csv"),
+        ],
+    )
+    def test_overflowing_span_exits_2(self, tmp_path, capsys, command, option, key, grid, csv):
+        text = ":".join(repr(v) for v in grid)
+        assert run("--config", SHIPPED, "--out", str(tmp_path), command, f"--{option}={text}") == 2
+        assert f"{option}: the span stop - start overflows" in capsys.readouterr().err
+
+        def mutate(tree):
+            tree["sweeps"][key] = list(grid)
+
+        assert run("--config", modified_config(tmp_path, mutate), "--out", str(tmp_path), command) == 2
+        assert f"sweeps.{key}: the span stop - start overflows" in capsys.readouterr().err
+        assert not (tmp_path / csv).exists()
+
+    @pytest.mark.parametrize("variant", ["lossless", "lumped-exponential"])
+    def test_efficiency_overflow_exits_2(self, tmp_path, capsys, variant):
+        out = tmp_path / "out"
+        common = ("--loss-variant", variant, "--out", str(out))
+        assert run("--config", SHIPPED, *common, "efficiency", "--lengths=1e200:1e300:2") == 2
+        assert "lengths: the efficiency at 1e+200 m overflows" in capsys.readouterr().err
+
+        def sweep(tree):
+            tree["sweeps"]["length_m"] = [1e200, 1e300, 2]
+
+        assert run("--config", modified_config(tmp_path, sweep), *common, "efficiency") == 2
+        assert "sweeps.length_m: the efficiency at 1e+200 m overflows" in capsys.readouterr().err
+
+        def fiber(tree):
+            tree["fields"]["fiber_length_m"] = 1e200
+
+        assert run("--config", modified_config(tmp_path, fiber), *common, "efficiency") == 2
+        assert "fields.fiber_length_m: the efficiency at 1e+200 m overflows" in capsys.readouterr().err
+        assert not (out / "efficiency_vs_length.csv").exists()
 
     def test_cli_import_does_not_load_scipy(self):
         assert fresh_interpreter_packages(["import csrskit.cli"]) == []

@@ -16,6 +16,7 @@ from csrskit.core_model import (
     ModeLabel,
     ResonanceProximityError,
     bessel_zero,
+    core_index_curve,
     effective_core_index,
     gas_index,
     marcatili_mode_index,
@@ -282,3 +283,31 @@ class TestEffectiveCoreIndex:
     def test_unknown_variant_rejected(self, fiber_geom, h2_gas):
         with pytest.raises(ValueError):
             effective_core_index(fiber_geom, h2_gas, 1550.0, 10.0, 293.0, variant="vectorial")
+
+
+class TestCoreIndexCurve:
+    def test_checks_run_once_at_build(self, fiber_geom, h2_gas):
+        # resonance, pole and temperature faults surface before any pressure is given
+        with pytest.raises(ResonanceProximityError):
+            core_index_curve(fiber_geom, h2_gas, 914.0, 293.0)
+        with pytest.raises(DispersionDomainError):
+            core_index_curve(fiber_geom, h2_gas, 50.0, 293.0, resonance_exclusion_rel=0.0)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            core_index_curve(fiber_geom, h2_gas, 1550.0, 0.0)
+
+    def test_pressure_checked_per_call(self, fiber_geom, h2_gas):
+        curve = core_index_curve(fiber_geom, h2_gas, 1550.0, 293.0)
+        assert curve(0.0) == effective_core_index(fiber_geom, h2_gas, 1550.0, 0.0, 293.0)
+        with pytest.raises(ValueError, match="pressure must be non-negative"):
+            curve(-1.0)
+
+    def test_compressibility_called_only_above_vacuum(self, fiber_geom):
+        calls = []
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15, lambda p, t: calls.append((p, t)) or 2.0)
+        curve = core_index_curve(fiber_geom, gas, 1550.0, 293.0, variant="marcatili")
+        curve(0.0)
+        assert calls == []
+        half = curve(40.0)
+        assert calls == [(40.0, 293.0)]
+        ideal = core_index_curve(fiber_geom, _H2, 1550.0, 293.0, variant="marcatili")
+        assert half == ideal(20.0)

@@ -1,12 +1,21 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_M_PER_S
 
 from csrskit import phasematch
-from csrskit.core_model import LP01, LP11, FiberGeometry
+from csrskit.config import load_config
+from csrskit.core_model import (
+    LP01,
+    LP11,
+    FiberGeometry,
+    GasDispersion,
+    ModeLabel,
+    ResonanceProximityError,
+    gas_index,
+)
 from csrskit.phasematch import (
     AcceptanceWidth,
     ConversionScheme,
@@ -16,6 +25,7 @@ from csrskit.phasematch import (
     SchemeDetuningError,
     delta_beta,
     infer_wall_thickness,
+    mismatch_curve,
     optimal_pressure,
     phase_matching_factor,
     pressure_acceptance,
@@ -23,7 +33,7 @@ from csrskit.phasematch import (
     raman_beat_thz,
     signal_wavelength,
 )
-from tests.conftest import REFERENCE_EXCLUSION
+from tests.conftest import H2_COEFFICIENTS, REFERENCE_EXCLUSION, REPO_ROOT
 
 T_K = 293.0
 
@@ -337,3 +347,171 @@ class TestInferWallThickness:
                 200.0, reference_scheme, T_K, fiber_geom, h2_gas, self.BRACKET,
                 resonance_exclusion_rel=REFERENCE_EXCLUSION,
             )
+
+
+class TestShippedDesignPins:
+    """Solver outputs on configs/h2_914nm.yaml, bit for bit (float.hex)."""
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        config = load_config(REPO_ROOT / "configs" / "h2_914nm.yaml")
+        args = (config.scheme(), config.temperature_k(), config.fiber_geometry(), config.gas_dispersion())
+        kwargs = dict(variant=config.index_variant(), resonance_exclusion_rel=config.resonance_exclusion_rel())
+        return args, kwargs
+
+    def test_optimal_pressure(self, shipped):
+        args, kwargs = shipped
+        sol = optimal_pressure(*args, **kwargs)
+        assert sol.pressure_bar.hex() == "0x1.73190e408d740p+6"
+        assert sol.residual_rad_per_m.hex() == "-0x1.9a00000000000p-23"
+        assert sol.iterations == 6
+
+    @pytest.mark.parametrize(
+        "length_m,lower,upper",
+        [
+            (1.85, "0x1.62cf4720290d3p+6", "0x1.834f96d02db88p+6"),
+            (0.3, "0x1.0d3c85880eaebp+6", "0x1.d60cf47903720p+6"),
+        ],
+    )
+    def test_pressure_acceptance(self, shipped, length_m, lower, upper):
+        args, kwargs = shipped
+        p_opt = float.fromhex("0x1.73190e408d740p+6")
+        width = pressure_acceptance(*args, length_m, p_opt, **kwargs)
+        assert (width.lower_bar.hex(), width.upper_bar.hex()) == (lower, upper)
+
+    def test_infer_wall_thickness(self, shipped):
+        (scheme, t_k, geom, gas), kwargs = shipped
+        p_opt = float.fromhex("0x1.73190e408d740p+6")
+        sol = infer_wall_thickness(p_opt, scheme, t_k, geom, gas, (1.26, 1.29), **kwargs)
+        assert sol.thickness_um.hex() == "0x1.47ae147adee50p+0"
+
+
+# --- reference: delta_beta as evaluated field by field, one call per pressure -----
+
+
+def _reference_resonance_check(wavelength_nm, wall_thickness_um, wall_index, exclusion_rel):
+    lam1_nm = 2.0 * wall_thickness_um * 1e3 * math.sqrt(wall_index**2 - 1.0)
+    m_near = lam1_nm / wavelength_nm
+    for m in {max(1, math.floor(m_near)), max(1, math.ceil(m_near))}:
+        lam_m = lam1_nm / m
+        if abs(wavelength_nm - lam_m) <= exclusion_rel * lam_m:
+            raise ResonanceProximityError(
+                f"{wavelength_nm:.2f} nm is within {exclusion_rel:.1%} of the m={m} "
+                f"wall resonance at {lam_m:.2f} nm; the analytic index model is invalid there"
+            )
+
+
+def _reference_index(geom, gas, wavelength_nm, pressure_bar, temperature_k, mode, variant, exclusion_rel):
+    if variant not in ("zeisberger", "marcatili"):
+        raise ValueError(f"unknown index variant {variant!r}; expected one of {('zeisberger', 'marcatili')}")
+    n_wall = geom.wall_refractive_index(wavelength_nm)
+    _reference_resonance_check(wavelength_nm, geom.wall_thickness_um, n_wall, exclusion_rel)
+    n_g = gas_index(gas, wavelength_nm, pressure_bar, temperature_k)
+    lam_m = wavelength_nm * 1e-9
+    r_m = geom.core_radius_um * 1e-6
+    u = mode.bessel_zero * lam_m / (2.0 * math.pi * r_m)
+    n_eff = n_g - 0.5 * u * u / n_g
+    if variant == "marcatili":
+        return n_eff
+    t_m = geom.wall_thickness_um * 1e-6
+    eps = (n_wall / n_g) ** 2
+    phi = (2.0 * math.pi * t_m / lam_m) * math.sqrt(n_wall**2 - n_g**2)
+    polarization_factor = (eps + 1.0) / (2.0 * math.sqrt(eps - 1.0))
+    wall_term = (mode.bessel_zero**2 * lam_m**3 / (8.0 * math.pi**3 * r_m**3)) * polarization_factor / math.tan(phi)
+    return n_eff - wall_term
+
+
+def _reference_delta_beta(scheme, pressure_bar, temperature_k, geom, gas, modes, variant, exclusion_rel):
+    if modes is None:
+        mode_map = {name: LP01 for name in phasematch.FIELD_NAMES}
+    elif isinstance(modes, ModeLabel):
+        mode_map = {name: modes for name in phasematch.FIELD_NAMES}
+    else:
+        unknown = set(modes) - set(phasematch.FIELD_NAMES)
+        if unknown:
+            raise ValueError(f"unknown field names in mode overrides: {sorted(unknown)}")
+        mode_map = {name: modes.get(name, LP01) for name in phasematch.FIELD_NAMES}
+    total = 0.0
+    for name, lam in scheme.wavelengths_nm().items():
+        n_eff = _reference_index(geom, gas, lam, pressure_bar, temperature_k, mode_map[name], variant, exclusion_rel)
+        beta = 2.0 * math.pi / (lam * 1e-9) * n_eff
+        total += {"pump1": 1.0, "pump2": -1.0, "probe": 1.0, "signal": -1.0}[name] * beta
+    return total
+
+
+def _outcome(fn, *args):
+    """The value as a hex string, or the exception's type and message."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # the comparison is the point: any type, any message
+        return type(exc), str(exc)
+
+
+_SCHEME = ConversionScheme.from_pumps(914.0, 1550.0, 942.0, transition_cm1=4155.25, detuning_tolerance_cm1=10.0)
+_MODES = st.builds(ModeLabel, st.integers(0, 2), st.integers(1, 3))
+#: one fault per input: each replaces one argument with an invalid value
+_FAULTS = {
+    "pressure": lambda a: {**a, "pressure": -1.0},
+    "temperature": lambda a: {**a, "temperature": 0.0},
+    "variant": lambda a: {**a, "variant": "vectorial"},
+    "field": lambda a: {**a, "modes": {"idler": LP11}},
+    "pole": lambda a: {**a, "gas": GasDispersion("X", ((1e-4, 0.9),), 1.01325, 273.15)},  # pole at 949 nm
+}
+
+
+class TestMismatchCurve:
+    def test_resonance_error_at_build(self, fiber_geom, h2_gas, reference_scheme):
+        with pytest.raises(ResonanceProximityError, match="m=3"):
+            mismatch_curve(reference_scheme, T_K, fiber_geom, h2_gas)  # the 3 % default guard holds the probe
+
+    def test_pressure_error_at_call(self, fiber_geom, h2_gas, reference_scheme):
+        curve = mismatch_curve(reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
+        with pytest.raises(ValueError, match="pressure must be non-negative"):
+            curve(-1e-3)
+
+    def test_bad_bracket_rejected_before_the_curve(self, fiber_geom, h2_gas, reference_scheme):
+        # the geometry alone would raise ResonanceProximityError under the default guard
+        with pytest.raises(ValueError, match="bracket must satisfy"):
+            optimal_pressure(reference_scheme, T_K, fiber_geom, h2_gas, bracket=(5.0, 1.0))
+
+    @given(
+        pressure=st.one_of(st.just(0.0), st.floats(0.0, 250.0)),
+        temperature=st.floats(200.0, 400.0),
+        core_radius=st.floats(10.0, 40.0),
+        thickness=st.floats(0.4, 2.0),
+        wall_index=st.sampled_from([1.444, ((0.6961663, 0.0046791), (0.4079426, 0.0135121), (0.8974794, 97.934))]),
+        compressible=st.booleans(),
+        modes=st.one_of(
+            st.none(),
+            _MODES,
+            st.dictionaries(st.sampled_from(phasematch.FIELD_NAMES), _MODES, max_size=4),
+        ),
+        variant=st.sampled_from(["zeisberger", "marcatili"]),
+        exclusion=st.floats(0.0, 0.05),
+        fault=st.sampled_from([None, *_FAULTS]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_curve_equals_reference_delta_beta(
+        self, pressure, temperature, core_radius, thickness, wall_index, compressible, modes, variant, exclusion, fault
+    ):
+        gas = GasDispersion(
+            "H2", H2_COEFFICIENTS, 1.01325, 273.15, (lambda p, t: 1.0 + 6e-4 * p) if compressible else None
+        )
+        geom = FiberGeometry(core_radius, 18.3, thickness, 7, wall_index)
+        args = dict(pressure=pressure, temperature=temperature, geom=geom, gas=gas, modes=modes, variant=variant)
+
+        def evaluate(fn, a):
+            return _outcome(
+                fn, _SCHEME, a["pressure"], a["temperature"], a["geom"], a["gas"], a["modes"], a["variant"], exclusion
+            )
+
+        def curve(scheme, pressure, temperature, geom, gas, modes, variant, exclusion):
+            return mismatch_curve(scheme, temperature, geom, gas, modes, variant, exclusion)(pressure)
+
+        if fault is not None:
+            # a single fault: the inputs without it must be valid
+            assume(isinstance(evaluate(_reference_delta_beta, args), str))
+            args = _FAULTS[fault](args)
+        expected = evaluate(_reference_delta_beta, args)
+        assert evaluate(curve, args) == expected
+        assert evaluate(delta_beta, args) == expected
