@@ -125,6 +125,15 @@ def _sweep_values(args, option: str, config: ToolkitConfig, name: str, fallback:
     return _linspace(*fallback)
 
 
+def _positive_sweep(args, option: str, config: ToolkitConfig, name: str, fallback: tuple[float, float, int]) -> list[float]:
+    """A sweep grid whose every point must be positive (lengths, radii)."""
+    values = _sweep_values(args, option, config, name, fallback)
+    smallest = min(values)
+    if not smallest > 0.0:
+        raise ValueError(f"{_sweep_source(args, option, name)}: values must be positive, got {_fmt(smallest)}")
+    return values
+
+
 def _write_table(path: Path, config: ToolkitConfig, command: str, seed: int, columns, rows, extra_meta=()) -> None:
     meta = [
         f"csrskit {__version__}",
@@ -200,7 +209,7 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     model = config.efficiency_model()
     fields = config.light_fields()
     pump1, pump2, probe = fields["pump1"], fields["pump2"], fields["probe"]
-    lengths = _sweep_values(args, "lengths", config, "length_m", (0.1, 25.0, 100))
+    lengths = _positive_sweep(args, "lengths", config, "length_m", (0.1, 25.0, 100))
 
     exceeded = False
     rows = []
@@ -258,15 +267,18 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
 
     projection = config.projection()
     if projection is not None:
-        report = project_length_scaling(
-            coefficient_pct_per_w2m2=model.coefficient_pct_per_w2m2,
-            pump1_power_w=projection["pump1_power_w"],
-            pump2_power_w=projection["pump2_power_w"],
-            attenuation_db_per_m=projection["attenuation_db_per_m"],
-            incoupling=projection["incoupling"],
-            reference_length_m=projection["reference_length_m"],
-            reference_efficiency=projection["reference_efficiency"],
-        )
+        try:
+            report = project_length_scaling(
+                coefficient_pct_per_w2m2=model.coefficient_pct_per_w2m2,
+                pump1_power_w=projection["pump1_power_w"],
+                pump2_power_w=projection["pump2_power_w"],
+                attenuation_db_per_m=projection["attenuation_db_per_m"],
+                incoupling=projection["incoupling"],
+                reference_length_m=projection["reference_length_m"],
+                reference_efficiency=projection["reference_efficiency"],
+            )
+        except OverflowError as exc:
+            raise ValueError(f"projection.{exc}") from None
         extra.append(f"projection_optimal_length_m: {_fmt(report.optimal_length_m)}")
         extra.append(f"projection_efficiency_at_optimum: {_fmt(report.efficiency_at_optimum)}")
         if report.reference_length_m is not None:
@@ -285,7 +297,7 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
 def cmd_bend(config: ToolkitConfig, args, out_dir: Path) -> int:
     geom = config.fiber_geometry()
     probe_nm = config.tree["scheme"]["probe_nm"]
-    radii = _sweep_values(args, "radii", config, "radius_m", (0.05, 0.60, 56))
+    radii = _positive_sweep(args, "radii", config, "radius_m", (0.05, 0.60, 56))
     modes = (LP01, LP11)
 
     extra = []

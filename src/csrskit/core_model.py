@@ -85,7 +85,8 @@ _EIGHT_PI_CUBED = 8.0 * math.pi**3
 
 
 class DispersionDomainError(ValueError):
-    """Wavelength is at or below a pole of the refractivity formula."""
+    """Wavelength is at or below a pole of the refractivity formula, or the
+    gas index reaches the wall index."""
 
 
 class ResonanceProximityError(ValueError):
@@ -167,7 +168,10 @@ class FiberGeometry:
     capillary_inner_radius_um: inner radius of one cladding capillary.
     wall_thickness_um: capillary wall (glass membrane) thickness t.
     num_capillaries: number of capillaries surrounding the core.
-    wall_index: glass index model for the capillary walls.
+    wall_index: glass index model for the capillary walls.  Sellmeier pairs
+        or a table are stored as a tuple of tuples, so every geometry is
+        hashable and later changes to the caller's list do not reach it;
+        a callable must be a pure function of the wavelength.
     """
 
     core_radius_um: float
@@ -177,6 +181,8 @@ class FiberGeometry:
     wall_index: WallIndexModel = 1.444
 
     def __post_init__(self) -> None:
+        if not isinstance(self.wall_index, (int, float)) and not callable(self.wall_index):
+            object.__setattr__(self, "wall_index", tuple(tuple(row) for row in self.wall_index))
         if self.core_radius_um <= 0 or self.capillary_inner_radius_um <= 0 or self.wall_thickness_um <= 0:
             raise ValueError("all fiber geometry lengths must be strictly positive")
         if self.num_capillaries < 3:
@@ -196,8 +202,8 @@ class GasDispersion:
     refractivity_coefficients holds (B_i, C_i) pairs of the two-term
     formula for n^2 - 1 at (reference_pressure_bar, reference_temperature_k),
     with the wavelength in um and C_i in um^2.  compressibility, when
-    given, maps (p_bar, T_k) to the compression factor Z; the default is
-    the ideal gas, Z = 1.
+    given, maps (p_bar, T_k) to the compression factor Z and must be a
+    pure function; the default is the ideal gas, Z = 1.
     """
 
     species: str
@@ -368,9 +374,15 @@ def core_index_curve(
         if marcatili:
             return n_eff
         eps = (n_wall / n_g) ** 2
-        phi = phase_coefficient * math.sqrt(n_wall2 - n_g**2)
-        polarization_factor = (eps + 1.0) / (2.0 * math.sqrt(eps - 1.0))
-        return n_eff - wall_prefactor * polarization_factor / math.tan(phi)
+        try:
+            phi = phase_coefficient * math.sqrt(n_wall2 - n_g**2)
+            polarization_factor = (eps + 1.0) / (2.0 * math.sqrt(eps - 1.0))
+            return n_eff - wall_prefactor * polarization_factor / math.tan(phi)
+        except (ValueError, ZeroDivisionError):  # n_g at or above n_wall
+            raise DispersionDomainError(
+                f"at {pressure_bar:g} bar the gas index {n_g:.6g} at {wavelength_nm:g} nm reaches the "
+                f"wall index {n_wall:.6g}; the wall model needs the gas index below the wall index"
+            ) from None
 
     return n_eff_of
 

@@ -354,7 +354,9 @@ def project_length_scaling(
     the closed-form optimum is L = 2 / (4 alpha_linear).  Efficiencies are
     reported unclamped; exceeds_unity records whether the quadratic
     undepleted model left its validity range, which is the expected
-    outcome of aggressive extrapolations.
+    outcome of aggressive extrapolations.  An efficiency too large for a
+    float raises OverflowError naming the input behind its length:
+    attenuation_db_per_m (the optimum) or reference_length_m.
     """
     model = EfficiencyModel(
         coefficient_pct_per_w2m2=coefficient_pct_per_w2m2,
@@ -364,17 +366,20 @@ def project_length_scaling(
     p1 = pump1_power_w * incoupling
     p2 = pump2_power_w * incoupling
 
-    def eta(length_m: float) -> float:
-        return efficiency_from_powers(
-            model, p1, p2, attenuation_db_per_m, attenuation_db_per_m, attenuation_db_per_m, length_m, 1.0
-        )
+    def eta(length_m: float, source: str) -> float:
+        try:
+            return efficiency_from_powers(
+                model, p1, p2, attenuation_db_per_m, attenuation_db_per_m, attenuation_db_per_m, length_m, 1.0
+            )
+        except OverflowError:
+            raise OverflowError(f"{source}: the efficiency at {length_m:g} m overflows") from None
 
     total_linear = 4.0 * alpha_linear(attenuation_db_per_m)
     if total_linear == 0.0:
         raise UnboundedOptimumError("zero attenuation leaves the optimum length unbounded")
     l_opt = 2.0 / total_linear
-    eta_opt = eta(l_opt)
-    eta_ref = eta(reference_length_m) if reference_length_m is not None else None
+    eta_opt = eta(l_opt, "attenuation_db_per_m")
+    eta_ref = eta(reference_length_m, "reference_length_m") if reference_length_m is not None else None
     exceeds = eta_opt > 1.0 or (eta_ref is not None and eta_ref > 1.0)
 
     parts = [

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 from csrskit.core_model import (
@@ -204,6 +205,12 @@ def mismatch_curve(
     single ModeLabel for all of them.  The mode map and each field's
     pressure-independent index work are validated and computed once,
     here, so a ResonanceProximityError surfaces when the curve is built.
+
+    Curves are cached by value: a later call with equal arguments (an
+    equal but distinct geometry included) returns the same curve without
+    rebuilding it.  Errors are not cached.  The cache assumes that the
+    geometry's wall_index and the gas's compressibility, when callables,
+    are pure functions.
     """
     if modes is None:
         modes = LP01
@@ -214,7 +221,23 @@ def mismatch_curve(
         if unknown:
             raise ValueError(f"unknown field names in mode overrides: {sorted(unknown)}")
         field_modes = tuple(modes.get(name, LP01) for name in FIELD_NAMES)
+    return _mismatch_curve(scheme, temperature_k, geom, gas, field_modes, variant, resonance_exclusion_rel)
 
+
+#: Designs whose curves stay cached; a design study works on one at a time.
+_CURVE_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_CURVE_CACHE_SIZE)
+def _mismatch_curve(
+    scheme: ConversionScheme,
+    temperature_k: float,
+    geom: FiberGeometry,
+    gas: GasDispersion,
+    field_modes: tuple[ModeLabel, ...],
+    variant: str,
+    resonance_exclusion_rel: float,
+) -> Callable[[float], float]:
     # (signed vacuum wavenumber +-2 pi / lambda, n_eff(p)) per field, in scheme order
     terms = []
     for (name, lam), mode in zip(scheme.wavelengths_nm().items(), field_modes):
@@ -388,6 +411,12 @@ def pressure_acceptance(
     return AcceptanceWidth(lower_bar=lower, upper_bar=upper, width_bar=width, bounded=bounded)
 
 
+#: Iteration cap of the wall-thickness search.  False position keeps one end
+#: fixed for long stretches; on seeded designs near the shipped one it took a
+#: median of ~20 and at most 4868 iterations, so the cap only bounds run time.
+_MAX_THICKNESS_ITERATIONS = 10_000
+
+
 def infer_wall_thickness(
     p_opt_measured_bar: float,
     scheme: ConversionScheme,
@@ -407,7 +436,8 @@ def infer_wall_thickness(
     thickness_bracket_um by an outer bracketing root find on
     p_opt(t) - p_opt_measured.  Requires the phase-matching solve to
     succeed at both bracket ends; resonance-proximity or no-root
-    failures there surface as NoSolutionError with diagnostics.
+    failures there surface as NoSolutionError with diagnostics, as does
+    a search that is still open after its iteration cap.
     """
 
     def p_of_t(t_um: float) -> float:
@@ -438,7 +468,14 @@ def infer_wall_thickness(
         )
 
     a, b, ga, gb = t_lo, t_hi, g_lo, g_hi
+    iterations = 0
     while b - a > thickness_tol_um:
+        if iterations == _MAX_THICKNESS_ITERATIONS:
+            raise NoSolutionError(
+                f"wall thickness not converged after {iterations} iterations: bracket "
+                f"[{a:.9g}, {b:.9g}] um, p_opt - measured = {ga:.3g}, {gb:.3g} bar"
+            )
+        iterations += 1
         mid = 0.5 * (a + b)
         if gb != ga:
             secant = b - gb * (b - a) / (gb - ga)

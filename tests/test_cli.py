@@ -109,6 +109,12 @@ class TestPhaseMatch:
         assert "the window needs 0 <= start < stop" in err
         assert not (tmp_path / "phase_match.csv").exists()
 
+    def test_gas_index_above_the_wall_index_exits_2(self, tmp_path, capsys):
+        assert run("--config", SHIPPED, "--out", str(tmp_path), "phase-match", "--pressures=60:6000:5") == 2
+        err = capsys.readouterr().err
+        assert "at 6000 bar the gas index 1.58" in err and "wall index 1.444" in err
+        assert not (tmp_path / "phase_match.csv").exists()
+
     def test_deterministic_output(self, tmp_path):
         run("--config", SHIPPED, "--out", str(tmp_path / "a"), "phase-match", "--pressures", "60:110:11")
         run("--config", SHIPPED, "--out", str(tmp_path / "b"), "phase-match", "--pressures", "60:110:11")
@@ -408,6 +414,40 @@ class TestGlobalBehavior:
         assert run("--config", modified_config(tmp_path, fiber), *common, "efficiency") == 2
         assert "fields.fiber_length_m: the efficiency at 1e+200 m overflows" in capsys.readouterr().err
         assert not (out / "efficiency_vs_length.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,length",
+        [("reference_length_m", 1e200, "1e+200"), ("attenuation_db_per_m", 1e-200, "2.17147e+200")],
+    )
+    def test_projection_overflow_exits_2(self, tmp_path, capsys, key, value, length):
+        def mutate(tree):
+            tree["projection"][key] = value
+
+        out = tmp_path / "out"
+        assert run("--config", modified_config(tmp_path, mutate), "--out", str(out), "efficiency") == 2
+        assert f"projection.{key}: the efficiency at {length} m overflows" in capsys.readouterr().err
+        assert not (out / "efficiency_vs_length.csv").exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    @pytest.mark.parametrize(
+        "command,option,key,csv",
+        [
+            ("bend", "radii", "radius_m", "bend_accessibility.csv"),
+            ("efficiency", "lengths", "length_m", "efficiency_vs_length.csv"),
+        ],
+    )
+    def test_non_positive_sweep_names_its_source(self, tmp_path, capsys, command, option, key, csv, from_config):
+        if from_config:
+
+            def mutate(tree):
+                tree["sweeps"][key] = [-1.0, 1.0, 3]
+
+            config, extra, source = modified_config(tmp_path, mutate), (), f"sweeps.{key}"
+        else:
+            config, extra, source = SHIPPED, (f"--{option}=-1:1:3",), option
+        assert run("--config", config, "--out", str(tmp_path), command, *extra) == 2
+        assert f"{source}: values must be positive, got -1" in capsys.readouterr().err
+        assert not (tmp_path / csv).exists()
 
     def test_cli_import_does_not_load_scipy(self):
         assert fresh_interpreter_packages(["import csrskit.cli"]) == []

@@ -228,6 +228,15 @@ class TestFiberGeometry:
         n = sell.wall_refractive_index(1550.0)
         assert 1.4 < n < 1.5
 
+    def test_sequence_wall_index_is_stored_as_tuples(self):
+        rows = [[900.0, 1.45], [1600.0, 1.44]]
+        listed = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=rows)
+        tupled = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=((900.0, 1.45), (1600.0, 1.44)))
+        assert listed.wall_index == ((900.0, 1.45), (1600.0, 1.44))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        rows[0][1] = 1.6  # the caller's list no longer reaches the geometry
+        assert listed.wall_refractive_index(900.0) == 1.45
+
 
 class TestEffectiveCoreIndex:
     def test_vacuum_marcatili_variant_reduces_exactly(self, fiber_geom, h2_gas):
@@ -294,6 +303,12 @@ class TestCoreIndexCurve:
             core_index_curve(fiber_geom, h2_gas, 50.0, 293.0, resonance_exclusion_rel=0.0)
         with pytest.raises(ValueError, match="temperature must be positive"):
             core_index_curve(fiber_geom, h2_gas, 1550.0, 0.0)
+
+    def test_gas_index_at_the_wall_index_is_a_domain_error(self, fiber_geom, h2_gas):
+        curve = core_index_curve(fiber_geom, h2_gas, 1550.0, 293.0)
+        with pytest.raises(DispersionDomainError, match=r"at 6000 bar the gas index 1\.58\d* .* wall index 1\.444"):
+            curve(6000.0)
+        assert core_index_curve(fiber_geom, h2_gas, 1550.0, 293.0, variant="marcatili")(6000.0) > 1.444
 
     def test_pressure_checked_per_call(self, fiber_geom, h2_gas):
         curve = core_index_curve(fiber_geom, h2_gas, 1550.0, 293.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -341,6 +342,17 @@ class TestInferWallThickness:
             )
         assert all(b < a for a, b in zip(pressures, pressures[1:]))
 
+    def test_iteration_cap_names_the_last_bracket(self, fiber_geom, h2_gas, reference_scheme, monkeypatch):
+        monkeypatch.setattr(phasematch, "_MAX_THICKNESS_ITERATIONS", 2)
+        p_measured = optimal_pressure(
+            reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION
+        ).pressure_bar
+        with pytest.raises(NoSolutionError, match=r"not converged after 2 iterations: bracket \[1\.2\d*, 1\.2\d*\] um"):
+            infer_wall_thickness(
+                p_measured, reference_scheme, T_K, fiber_geom, h2_gas, self.BRACKET,
+                resonance_exclusion_rel=REFERENCE_EXCLUSION,
+            )
+
     def test_unreachable_pressure_raises(self, fiber_geom, h2_gas, reference_scheme):
         with pytest.raises(NoSolutionError):
             infer_wall_thickness(
@@ -468,6 +480,34 @@ class TestMismatchCurve:
         curve = mismatch_curve(reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
         with pytest.raises(ValueError, match="pressure must be non-negative"):
             curve(-1e-3)
+
+    def test_equal_geometry_reuses_the_cached_curve(self, fiber_geom, h2_gas, reference_scheme):
+        first = mismatch_curve(reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
+        hits = phasematch._mismatch_curve.cache_info().hits
+        copy = dataclasses.replace(fiber_geom)
+        assert copy is not fiber_geom
+        again = mismatch_curve(reference_scheme, T_K, copy, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
+        assert phasematch._mismatch_curve.cache_info().hits == hits + 1
+        assert again is first
+
+    def test_list_and_tuple_wall_index_give_the_same_bits(self, h2_gas, reference_scheme):
+        rows = [[800.0, 1.4453], [1600.0, 1.4431]]
+        listed = FiberGeometry(23.0, 18.3, 1.28, 7, rows)
+        tupled = FiberGeometry(23.0, 18.3, 1.28, 7, ((800.0, 1.4453), (1600.0, 1.4431)))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        bits = []
+        for geom in (listed, tupled):
+            phasematch._mismatch_curve.cache_clear()  # each value is built, not looked up
+            bits.append(delta_beta(reference_scheme, 90.0, T_K, geom, h2_gas, None, "zeisberger", REFERENCE_EXCLUSION).hex())
+        reference = _reference_delta_beta(reference_scheme, 90.0, T_K, tupled, h2_gas, None, "zeisberger", REFERENCE_EXCLUSION)
+        assert bits == [reference.hex()] * 2
+
+    def test_resonance_error_raised_on_every_call(self, fiber_geom, h2_gas, reference_scheme):
+        misses = phasematch._mismatch_curve.cache_info().misses
+        for _ in range(3):  # the 3 % default guard holds the probe
+            with pytest.raises(ResonanceProximityError, match="m=3"):
+                delta_beta(reference_scheme, 90.0, T_K, fiber_geom, h2_gas)
+        assert phasematch._mismatch_curve.cache_info().misses == misses + 3
 
     def test_bad_bracket_rejected_before_the_curve(self, fiber_geom, h2_gas, reference_scheme):
         # the geometry alone would raise ResonanceProximityError under the default guard
