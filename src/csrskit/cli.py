@@ -40,6 +40,7 @@ from csrskit.efficiency import (
 )
 from csrskit.phasematch import (
     InfeasibleSchemeError,
+    NoConvergenceError,
     NoRootError,
     NoSolutionError,
     SchemeDetuningError,
@@ -237,6 +238,11 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     except UnboundedOptimumError as exc:
         extra.append(f"optimal_length_m: unbounded ({exc})")
         summary = "L_opt unbounded"
+    except OverflowError:
+        raise ValueError(
+            "model.signal_attenuation_db_per_m, fields.*.attenuation_db_per_m: the optimum length or its "
+            "efficiency overflows; the attenuations are too small"
+        ) from None
     if exceeded:
         extra.append("warning: efficiencies above 1 are outside the undepleted-pump validity range")
 
@@ -486,6 +492,9 @@ def main(argv=None) -> int:
     except NoRootError as exc:
         print(f"error: no phase-matching root: {exc}", file=sys.stderr)
         return 2
+    except NoConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

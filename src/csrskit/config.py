@@ -7,9 +7,13 @@ variant), fields (beam powers, attenuations, incoupling, fiber length)
 and screening (bandpass and line catalog).  Optional blocks: sweeps
 (default CLI ranges) and projection (a long-fiber scaling scenario).
 
-Unknown keys anywhere in the tree are rejected with their dotted path;
-omitted optional keys are materialized with their defaults so that the
-normalized form echoed into output metadata is complete and stable.
+One table, SCHEMA, lists every leaf as (dotted path, type, default,
+constraint), and it alone drives the validation: the allowed and
+required keys of each block, the type and range check of each leaf, and
+the defaults.  Unknown keys, missing keys and bad values are rejected
+with a ConfigError naming their dotted path.  Omitted optional keys are
+materialized with their defaults, so the normalized form echoed into
+output metadata is complete and stable.
 """
 
 from __future__ import annotations
@@ -19,26 +23,24 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import yaml
 
 from csrskit.bendloss import touching_capillary_radius
-from csrskit.core_model import FiberGeometry, GasDispersion
+from csrskit.core_model import INDEX_VARIANTS, FiberGeometry, GasDispersion, WallIndexTable
 from csrskit.efficiency import LOSS_VARIANTS, EfficiencyModel, LightField
 from csrskit.phasematch import ConversionScheme
 from csrskit.raman_screen import BandpassFilter
 
-__all__ = ["ConfigError", "ToolkitConfig", "load_config"]
+__all__ = ["SCHEMA", "ConfigError", "Key", "ToolkitConfig", "load_config"]
 
 
 class ConfigError(ValueError):
     """Configuration file violates the schema."""
 
 
-def _require(block: dict, path: str, key: str):
-    if key not in block:
-        raise ConfigError(f"{path}.{key}: required key is missing")
-    return block[key]
+# -- leaf types: each parses a raw YAML value into its normalized form -------
 
 
 def _number(value, path: str) -> float:
@@ -53,50 +55,41 @@ def _number(value, path: str) -> float:
     return number
 
 
+def _optional_number(value, path: str) -> float | None:
+    return None if value is None else _number(value, path)
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     return value
 
 
-def _check_keys(block: dict, path: str, allowed: set[str]) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    unknown = set(block) - allowed
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path}.{key}: unknown key")
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
 
 
-def _wall_index(value, path: str):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _number(value, path)
-    if isinstance(value, dict):
-        _check_keys(value, path, {"sellmeier", "table"})
-        if len(value) != 1:
-            raise ConfigError(f"{path}: give exactly one of 'sellmeier' or 'table'")
-        kind, rows = next(iter(value.items()))
-        if not isinstance(rows, list) or not rows:
-            raise ConfigError(f"{path}.{kind}: expected a non-empty list of pairs")
-        out = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 2:
-                raise ConfigError(f"{path}.{kind}[{i}]: expected a [a, b] pair")
-            out.append([_number(row[0], f"{path}.{kind}[{i}][0]"), _number(row[1], f"{path}.{kind}[{i}][1]")])
-        return {kind: out}
-    raise ConfigError(f"{path}: expected a number or a sellmeier/table mapping")
+def _enum(*choices: str) -> Callable[[Any, str], str]:
+    def parse(value, path: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{path}: must be one of {list(choices)}, got {value!r}")
+        return value
+
+    return parse
 
 
-def _field_block(block, path: str) -> dict:
-    _check_keys(block, path, {"power_w", "attenuation_db_per_m", "incoupling"})
-    return {
-        "power_w": _number(_require(block, path, "power_w"), f"{path}.power_w"),
-        "attenuation_db_per_m": _number(block.get("attenuation_db_per_m", 0.0), f"{path}.attenuation_db_per_m"),
-        "incoupling": _number(block.get("incoupling", 1.0), f"{path}.incoupling"),
-    }
+def _pairs(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of [a, b] pairs")
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != 2:
+            raise ConfigError(f"{path}[{i}]: expected an [a, b] pair")
+    return [[_number(a, f"{path}[{i}][0]"), _number(b, f"{path}[{i}][1]")] for i, (a, b) in enumerate(value)]
 
 
-def _sweep(value, path: str) -> list:
+def _range(value, path: str) -> list:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{path}: expected [start, stop, count]")
     start = _number(value[0], f"{path}[0]")
@@ -109,194 +102,143 @@ def _sweep(value, path: str) -> list:
     return [start, stop, count]
 
 
-_TOP_LEVEL = {"fiber", "gas", "scheme", "model", "fields", "screening", "sweeps", "projection"}
+def _wall_index(value, path: str):
+    """A constant, {sellmeier: [[B, C], ...]} (l in um) or {table: [[lambda_nm, n], ...]}."""
+    if not isinstance(value, dict):
+        return _number(value, path)
+    if len(value) != 1 or not set(value) <= {"sellmeier", "table"}:
+        raise ConfigError(f"{path}: give exactly one of 'sellmeier' or 'table', got {list(value)}")
+    ((kind, rows),) = value.items()
+    return {kind: _pairs(rows, f"{path}.{kind}")}
 
 
-def _normalize(tree: dict) -> dict:
-    _check_keys(tree, "config", _TOP_LEVEL)
-    for block in ("fiber", "gas", "scheme", "model", "fields", "screening"):
-        if block not in tree:
-            raise ConfigError(f"config.{block}: required block is missing")
+# -- constraints: (description, predicate) on one parsed, non-null leaf ------
 
-    fiber = tree["fiber"]
-    _check_keys(
-        fiber,
-        "fiber",
-        {"core_radius_um", "capillary_inner_radius_um", "wall_thickness_um", "num_capillaries", "wall_index"},
-    )
-    core = _number(_require(fiber, "fiber", "core_radius_um"), "fiber.core_radius_um")
-    ncap = _integer(_require(fiber, "fiber", "num_capillaries"), "fiber.num_capillaries")
-    norm_fiber = {
-        "core_radius_um": core,
-        "capillary_inner_radius_um": _number(
-            fiber.get("capillary_inner_radius_um", touching_capillary_radius(core, ncap)),
-            "fiber.capillary_inner_radius_um",
-        ),
-        "wall_thickness_um": _number(_require(fiber, "fiber", "wall_thickness_um"), "fiber.wall_thickness_um"),
-        "num_capillaries": ncap,
-        "wall_index": _wall_index(fiber.get("wall_index", 1.444), "fiber.wall_index"),
-    }
+POSITIVE = ("> 0", lambda v: v > 0)
+NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
+AT_LEAST_3 = (">= 3", lambda v: v >= 3)
+CONSTANT_ABOVE_1 = ("> 1 when a constant", lambda v: isinstance(v, dict) or v > 1)
 
-    gas = tree["gas"]
-    _check_keys(
-        gas,
-        "gas",
-        {"species", "refractivity_coefficients", "reference_pressure_bar", "reference_temperature_k", "temperature_k"},
-    )
-    coeffs_raw = _require(gas, "gas", "refractivity_coefficients")
-    if not isinstance(coeffs_raw, list) or not coeffs_raw:
-        raise ConfigError("gas.refractivity_coefficients: expected a non-empty list of [B, C] pairs")
-    coeffs = []
-    for i, pair in enumerate(coeffs_raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"gas.refractivity_coefficients[{i}]: expected a [B, C] pair")
-        coeffs.append(
-            [
-                _number(pair[0], f"gas.refractivity_coefficients[{i}][0]"),
-                _number(pair[1], f"gas.refractivity_coefficients[{i}][1]"),
-            ]
+#: Default markers: the key must be given, or it is left out of the echo when absent.
+REQUIRED = "required"
+OMITTED = "omitted"
+
+
+@dataclass(frozen=True)
+class Key:
+    """One leaf of the configuration tree.
+
+    default is a value, REQUIRED, OMITTED, or a function of the block's
+    leaves normalized so far (a derived default).
+    """
+
+    path: str
+    parse: Callable[[Any, str], Any]
+    default: Any = REQUIRED
+    constraint: tuple[str, Callable[[Any], bool]] | None = None
+
+
+def _touching_radius(fiber: dict) -> float:
+    return touching_capillary_radius(fiber["core_radius_um"], fiber["num_capillaries"])
+
+
+SCHEMA = (
+    Key("fiber.core_radius_um", _number, REQUIRED, POSITIVE),
+    Key("fiber.num_capillaries", _integer, REQUIRED, AT_LEAST_3),
+    Key("fiber.capillary_inner_radius_um", _number, _touching_radius, POSITIVE),
+    Key("fiber.wall_thickness_um", _number, REQUIRED, POSITIVE),
+    Key("fiber.wall_index", _wall_index, 1.444, CONSTANT_ABOVE_1),
+    Key("gas.species", _string),
+    Key("gas.refractivity_coefficients", _pairs),
+    Key("gas.reference_pressure_bar", _number, REQUIRED, POSITIVE),
+    Key("gas.reference_temperature_k", _number, REQUIRED, POSITIVE),
+    Key("gas.temperature_k", _number, 293.0, POSITIVE),
+    Key("scheme.pump1_nm", _number, REQUIRED, POSITIVE),
+    Key("scheme.pump2_nm", _number, REQUIRED, POSITIVE),
+    Key("scheme.probe_nm", _number, REQUIRED, POSITIVE),
+    Key("scheme.transition_cm1", _optional_number, None),
+    Key("scheme.detuning_tolerance_cm1", _number, 5.0),
+    Key("model.coefficient_pct_per_w2m2", _number, REQUIRED, POSITIVE),
+    Key("model.loss_variant", _enum(*LOSS_VARIANTS), "lumped-exponential"),
+    Key("model.signal_attenuation_db_per_m", _number, 0.0, NON_NEGATIVE),
+    Key("model.index_variant", _enum(*INDEX_VARIANTS), "zeisberger"),
+    Key("model.resonance_exclusion_rel", _number, 0.03, NON_NEGATIVE),
+    *(
+        key
+        for beam in ("pump1", "pump2", "probe")
+        for key in (
+            Key(f"fields.{beam}.power_w", _number, REQUIRED, NON_NEGATIVE),
+            Key(f"fields.{beam}.attenuation_db_per_m", _number, 0.0, NON_NEGATIVE),
+            Key(f"fields.{beam}.incoupling", _number, 1.0, FRACTION),
         )
-    species = _require(gas, "gas", "species")
-    if not isinstance(species, str):
-        raise ConfigError("gas.species: expected a string")
-    norm_gas = {
-        "species": species,
-        "refractivity_coefficients": coeffs,
-        "reference_pressure_bar": _number(
-            _require(gas, "gas", "reference_pressure_bar"), "gas.reference_pressure_bar"
-        ),
-        "reference_temperature_k": _number(
-            _require(gas, "gas", "reference_temperature_k"), "gas.reference_temperature_k"
-        ),
-        "temperature_k": _number(gas.get("temperature_k", 293.0), "gas.temperature_k"),
-    }
+    ),
+    Key("fields.fiber_length_m", _number, REQUIRED, POSITIVE),
+    # aggregate override: replaces every beam's incoupling when set
+    Key("fields.incoupling_all", _optional_number, None, FRACTION),
+    Key("screening.bandpass_center_nm", _number, REQUIRED, POSITIVE),
+    Key("screening.bandpass_width_nm", _number, REQUIRED, POSITIVE),
+    Key("screening.strength_threshold", _number, 0.01, NON_NEGATIVE),
+    Key("screening.catalog", _string),
+    Key("sweeps.pressure_bar", _range, OMITTED),
+    Key("sweeps.length_m", _range, OMITTED),
+    Key("sweeps.radius_m", _range, OMITTED),
+    Key("projection.pump1_power_w", _number, REQUIRED, NON_NEGATIVE),
+    Key("projection.pump2_power_w", _number, REQUIRED, NON_NEGATIVE),
+    Key("projection.attenuation_db_per_m", _number, REQUIRED, NON_NEGATIVE),
+    Key("projection.incoupling", _number, REQUIRED, FRACTION),
+    Key("projection.reference_length_m", _optional_number, None, POSITIVE),
+    Key("projection.reference_efficiency", _optional_number, None),
+)
 
-    scheme = tree["scheme"]
-    _check_keys(scheme, "scheme", {"pump1_nm", "pump2_nm", "probe_nm", "transition_cm1", "detuning_tolerance_cm1"})
-    norm_scheme = {
-        "pump1_nm": _number(_require(scheme, "scheme", "pump1_nm"), "scheme.pump1_nm"),
-        "pump2_nm": _number(_require(scheme, "scheme", "pump2_nm"), "scheme.pump2_nm"),
-        "probe_nm": _number(_require(scheme, "scheme", "probe_nm"), "scheme.probe_nm"),
-        "transition_cm1": (
-            None if scheme.get("transition_cm1") is None else _number(scheme["transition_cm1"], "scheme.transition_cm1")
-        ),
-        "detuning_tolerance_cm1": _number(scheme.get("detuning_tolerance_cm1", 5.0), "scheme.detuning_tolerance_cm1"),
-    }
+#: Blocks that may be left out; every other block is required.
+_OPTIONAL_BLOCKS = ("sweeps", "projection")
 
-    model = tree["model"]
-    _check_keys(
-        model,
-        "model",
-        {
-            "coefficient_pct_per_w2m2",
-            "loss_variant",
-            "signal_attenuation_db_per_m",
-            "index_variant",
-            "resonance_exclusion_rel",
-        },
-    )
-    loss_variant = model.get("loss_variant", "lumped-exponential")
-    if loss_variant not in LOSS_VARIANTS:
-        raise ConfigError(f"model.loss_variant: must be one of {list(LOSS_VARIANTS)}, got {loss_variant!r}")
-    index_variant = model.get("index_variant", "zeisberger")
-    if index_variant not in ("zeisberger", "marcatili"):
-        raise ConfigError(f"model.index_variant: must be 'zeisberger' or 'marcatili', got {index_variant!r}")
-    norm_model = {
-        "coefficient_pct_per_w2m2": _number(
-            _require(model, "model", "coefficient_pct_per_w2m2"), "model.coefficient_pct_per_w2m2"
-        ),
-        "loss_variant": loss_variant,
-        "signal_attenuation_db_per_m": _number(
-            model.get("signal_attenuation_db_per_m", 0.0), "model.signal_attenuation_db_per_m"
-        ),
-        "index_variant": index_variant,
-        "resonance_exclusion_rel": _number(model.get("resonance_exclusion_rel", 0.03), "model.resonance_exclusion_rel"),
-    }
 
-    fields = tree["fields"]
-    _check_keys(fields, "fields", {"pump1", "pump2", "probe", "fiber_length_m", "incoupling_all"})
-    norm_fields = {
-        "pump1": _field_block(_require(fields, "fields", "pump1"), "fields.pump1"),
-        "pump2": _field_block(_require(fields, "fields", "pump2"), "fields.pump2"),
-        "probe": _field_block(_require(fields, "fields", "probe"), "fields.probe"),
-        "fiber_length_m": _number(_require(fields, "fields", "fiber_length_m"), "fields.fiber_length_m"),
-        # aggregate override: replaces every beam's incoupling when set
-        "incoupling_all": (
-            None
-            if fields.get("incoupling_all") is None
-            else _number(fields["incoupling_all"], "fields.incoupling_all")
-        ),
-    }
+def _nest(keys) -> dict:
+    """The table as a tree: block name -> sub-block or Key, in table order."""
+    tree: dict = {}
+    for key in keys:
+        *blocks, name = key.path.split(".")
+        node = tree
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[name] = key
+    return tree
 
-    screening = tree["screening"]
-    _check_keys(
-        screening, "screening", {"bandpass_center_nm", "bandpass_width_nm", "strength_threshold", "catalog"}
-    )
-    catalog = _require(screening, "screening", "catalog")
-    if not isinstance(catalog, str):
-        raise ConfigError("screening.catalog: expected a path string")
-    norm_screening = {
-        "bandpass_center_nm": _number(
-            _require(screening, "screening", "bandpass_center_nm"), "screening.bandpass_center_nm"
-        ),
-        "bandpass_width_nm": _number(
-            _require(screening, "screening", "bandpass_width_nm"), "screening.bandpass_width_nm"
-        ),
-        "strength_threshold": _number(screening.get("strength_threshold", 0.01), "screening.strength_threshold"),
-        "catalog": catalog,
-    }
 
-    normalized = {
-        "fiber": norm_fiber,
-        "gas": norm_gas,
-        "scheme": norm_scheme,
-        "model": norm_model,
-        "fields": norm_fields,
-        "screening": norm_screening,
-    }
+_TREE = _nest(SCHEMA)
 
-    if "sweeps" in tree:
-        sweeps = tree["sweeps"]
-        _check_keys(sweeps, "sweeps", {"pressure_bar", "length_m", "radius_m"})
-        normalized["sweeps"] = {
-            key: _sweep(value, f"sweeps.{key}") for key, value in sorted(sweeps.items())
-        }
 
-    if "projection" in tree:
-        projection = tree["projection"]
-        _check_keys(
-            projection,
-            "projection",
-            {
-                "pump1_power_w",
-                "pump2_power_w",
-                "attenuation_db_per_m",
-                "incoupling",
-                "reference_length_m",
-                "reference_efficiency",
-            },
-        )
-        norm_projection = {
-            "pump1_power_w": _number(_require(projection, "projection", "pump1_power_w"), "projection.pump1_power_w"),
-            "pump2_power_w": _number(_require(projection, "projection", "pump2_power_w"), "projection.pump2_power_w"),
-            "attenuation_db_per_m": _number(
-                _require(projection, "projection", "attenuation_db_per_m"), "projection.attenuation_db_per_m"
-            ),
-            "incoupling": _number(_require(projection, "projection", "incoupling"), "projection.incoupling"),
-            "reference_length_m": (
-                None
-                if projection.get("reference_length_m") is None
-                else _number(projection["reference_length_m"], "projection.reference_length_m")
-            ),
-            "reference_efficiency": (
-                None
-                if projection.get("reference_efficiency") is None
-                else _number(projection["reference_efficiency"], "projection.reference_efficiency")
-            ),
-        }
-        normalized["projection"] = norm_projection
-
-    return normalized
+def _normalize(raw, spec: dict = _TREE, path: str = "") -> dict:
+    label = path or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label}: expected a mapping")
+    unknown = sorted(set(raw) - set(spec), key=str)  # YAML keys need not be strings
+    if unknown:
+        raise ConfigError(f"{label}.{unknown[0]}: unknown key")
+    out: dict = {}
+    for name, item in spec.items():
+        if isinstance(item, dict):  # a block
+            if name in raw:
+                out[name] = _normalize(raw[name], item, f"{path}.{name}".lstrip("."))
+            elif name not in _OPTIONAL_BLOCKS:
+                raise ConfigError(f"{label}.{name}: required block is missing")
+            continue
+        if name in raw:
+            value = item.parse(raw[name], item.path)
+        elif item.default is REQUIRED:
+            raise ConfigError(f"{item.path}: required key is missing")
+        elif item.default is OMITTED:
+            continue
+        else:
+            value = item.default(out) if callable(item.default) else item.default
+        if item.constraint is not None and value is not None:
+            description, holds = item.constraint
+            if not holds(value):
+                raise ConfigError(f"{item.path}: must be {description}, got {value!r}")
+        out[name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -323,14 +265,9 @@ class ToolkitConfig:
         f = self.tree["fiber"]
         wall = f["wall_index"]
         if isinstance(wall, dict):
-            wall = [tuple(pair) for pair in next(iter(wall.values()))]
-        return FiberGeometry(
-            core_radius_um=f["core_radius_um"],
-            capillary_inner_radius_um=f["capillary_inner_radius_um"],
-            wall_thickness_um=f["wall_thickness_um"],
-            num_capillaries=f["num_capillaries"],
-            wall_index=wall,
-        )
+            ((kind, rows),) = wall.items()
+            wall = WallIndexTable(rows) if kind == "table" else rows
+        return FiberGeometry(**{**f, "wall_index": wall})  # the block's keys are FiberGeometry's fields
 
     def gas_dispersion(self) -> GasDispersion:
         g = self.tree["gas"]
@@ -345,29 +282,20 @@ class ToolkitConfig:
         return self.tree["gas"]["temperature_k"]
 
     def scheme(self) -> ConversionScheme:
-        s = self.tree["scheme"]
-        return ConversionScheme.from_pumps(
-            probe_nm=s["probe_nm"],
-            pump1_nm=s["pump1_nm"],
-            pump2_nm=s["pump2_nm"],
-            transition_cm1=s["transition_cm1"],
-            detuning_tolerance_cm1=s["detuning_tolerance_cm1"],
-        )
+        return ConversionScheme.from_pumps(**self.tree["scheme"])  # the block's keys are its parameters
 
     def light_fields(self) -> dict[str, LightField]:
-        s = self.tree["scheme"]
-        wavelengths = {"pump1": s["pump1_nm"], "pump2": s["pump2_nm"], "probe": s["probe_nm"]}
-        override = self.tree["fields"]["incoupling_all"]
-        out = {}
-        for name, lam in wavelengths.items():
-            f = self.tree["fields"][name]
-            out[name] = LightField(
-                wavelength_nm=lam,
-                power_w=f["power_w"],
-                attenuation_db_per_m=f["attenuation_db_per_m"],
-                incoupling=f["incoupling"] if override is None else override,
+        fields = self.tree["fields"]
+        override = fields["incoupling_all"]
+        return {
+            name: LightField(
+                wavelength_nm=self.tree["scheme"][f"{name}_nm"],
+                power_w=fields[name]["power_w"],
+                attenuation_db_per_m=fields[name]["attenuation_db_per_m"],
+                incoupling=fields[name]["incoupling"] if override is None else override,
             )
-        return out
+            for name in ("pump1", "pump2", "probe")
+        }
 
     def fiber_length_m(self) -> float:
         return self.tree["fields"]["fiber_length_m"]
@@ -406,11 +334,9 @@ class ToolkitConfig:
         return self.tree.get("projection")
 
     def with_loss_variant(self, variant: str) -> "ToolkitConfig":
-        if variant not in LOSS_VARIANTS:
-            raise ConfigError(f"loss variant override must be one of {list(LOSS_VARIANTS)}, got {variant!r}")
-        tree = json.loads(json.dumps(self.tree))
+        tree = json.loads(self.normalized_json())
         tree["model"]["loss_variant"] = variant
-        return ToolkitConfig(tree=tree, source_path=self.source_path)
+        return ToolkitConfig(tree=_normalize(tree), source_path=self.source_path)
 
 
 def load_config(path: str | Path) -> ToolkitConfig:
@@ -420,17 +346,9 @@ def load_config(path: str | Path) -> ToolkitConfig:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping of blocks")
-    tree = _normalize(raw)
-    # fail fast on physically invalid values
-    config = ToolkitConfig(tree=tree, source_path=path)
-    config.fiber_geometry()
-    config.gas_dispersion()
-    for value, label in (
-        (config.temperature_k(), "gas.temperature_k"),
-        (config.fiber_length_m(), "fields.fiber_length_m"),
-    ):
-        if value <= 0:  # _number already rejected non-finite values
-            raise ConfigError(f"{label}: must be a positive finite number")
+    config = ToolkitConfig(tree=_normalize(raw), source_path=path)
+    try:  # what no single leaf shows: the geometry's proportions, a wall-index table's rows
+        config.fiber_geometry()
+    except ValueError as exc:
+        raise ConfigError(f"fiber: {exc}") from exc
     return config

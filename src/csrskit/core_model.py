@@ -50,6 +50,7 @@ __all__ = [
     "LP11",
     "FiberGeometry",
     "GasDispersion",
+    "WallIndexTable",
     "bessel_zero",
     "gas_index",
     "marcatili_mode_index",
@@ -128,8 +129,40 @@ LP01 = ModeLabel(0, 1)
 LP11 = ModeLabel(1, 1)
 
 
-#: A wall-glass index model: a constant, a callable lambda_nm -> n, a list of
-#: (B_i, C_i) Sellmeier pairs (l in um), or a table of (lambda_nm, n) rows.
+@dataclass(frozen=True)
+class WallIndexTable:
+    """Wall-glass index from (lambda_nm, n) rows: linear interpolation,
+    clamped to the end rows outside the tabulated range.
+
+    The rows are stored sorted, as a tuple of float pairs, so a table is
+    hashable and compares by value.
+    """
+
+    rows: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(sorted((float(lam), float(n)) for lam, n in self.rows))
+        if not rows:
+            raise ValueError("a wall-index table needs at least one row")
+        if any(a[0] == b[0] for a, b in zip(rows, rows[1:])):
+            raise ValueError("wall-index table wavelengths must be distinct")
+        object.__setattr__(self, "rows", rows)
+
+    def __call__(self, wavelength_nm: float) -> float:
+        rows = self.rows
+        if wavelength_nm <= rows[0][0]:
+            return rows[0][1]
+        if wavelength_nm >= rows[-1][0]:
+            return rows[-1][1]
+        for (x0, y0), (x1, y1) in zip(rows, rows[1:]):
+            if wavelength_nm <= x1:
+                w = (wavelength_nm - x0) / (x1 - x0)
+                return y0 + w * (y1 - y0)
+        raise ValueError(f"wavelength {wavelength_nm!r} nm cannot be compared with the table")  # nan
+
+
+#: A wall-glass index model: a constant, a callable lambda_nm -> n (such as a
+#: WallIndexTable), or a sequence of (B_i, C_i) Sellmeier pairs (l in um).
 WallIndexModel = float | Callable[[float], float] | Sequence
 
 
@@ -138,24 +171,10 @@ def _evaluate_wall_index(model: WallIndexModel, wavelength_nm: float) -> float:
         return float(model)
     if callable(model):
         return float(model(wavelength_nm))
-    rows = list(model)
-    if rows and len(rows[0]) == 2 and rows[0][0] > 10.0:
-        # (lambda_nm, n) table, linear interpolation, clamped at the ends
-        rows = sorted((float(a), float(b)) for a, b in rows)
-        lams = [r[0] for r in rows]
-        ns = [r[1] for r in rows]
-        if wavelength_nm <= lams[0]:
-            return ns[0]
-        if wavelength_nm >= lams[-1]:
-            return ns[-1]
-        for (x0, y0), (x1, y1) in zip(rows, rows[1:]):
-            if x0 <= wavelength_nm <= x1:
-                w = (wavelength_nm - x0) / (x1 - x0)
-                return y0 + w * (y1 - y0)
     # Sellmeier pairs for n^2 - 1
     l2 = (wavelength_nm * 1e-3) ** 2
     n2m1 = 0.0
-    for b, c in rows:
+    for b, c in model:
         n2m1 += b * l2 / (l2 - c)
     return math.sqrt(1.0 + n2m1)
 
@@ -168,10 +187,12 @@ class FiberGeometry:
     capillary_inner_radius_um: inner radius of one cladding capillary.
     wall_thickness_um: capillary wall (glass membrane) thickness t.
     num_capillaries: number of capillaries surrounding the core.
-    wall_index: glass index model for the capillary walls.  Sellmeier pairs
-        or a table are stored as a tuple of tuples, so every geometry is
-        hashable and later changes to the caller's list do not reach it;
-        a callable must be a pure function of the wavelength.
+    wall_index: glass index model for the capillary walls: a constant,
+        a sequence of (B_i, C_i) Sellmeier pairs, a WallIndexTable or
+        another callable.  Sellmeier pairs are stored as a tuple of
+        tuples, so every geometry is hashable and later changes to the
+        caller's list do not reach it; a callable must be a pure function
+        of the wavelength.
     """
 
     core_radius_um: float

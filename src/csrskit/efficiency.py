@@ -228,57 +228,52 @@ class LengthOptimum:
     efficiency: float
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimal_length(
     model: EfficiencyModel,
     pump1: LightField,
     pump2: LightField,
     probe: LightField,
-    search_bounds_m: tuple[float, float] = (1e-3, 1e3),
     sinc_factor: float = 1.0,
 ) -> LengthOptimum:
-    """Fiber length maximizing the predicted efficiency.
+    """Fiber length maximizing the predicted efficiency, in closed form.
 
-    Golden-section search in log-length over search_bounds_m.  Raises
-    UnboundedOptimumError when the configured variant has no interior
-    maximum (lossless always grows; lumped-exponential with zero total
-    attenuation; amplitude-integral without signal loss or without
-    drive loss saturates or grows monotonically).
+    With linear attenuations a1, a2, ap (the beams) and as (the signal):
+    lumped-exponential L* = 2 / (a1 + a2 + ap + as); amplitude-integral
+    L* = ln(1 + 2a/as) / a with a = (a1 + a2 + ap - as) / 2, and 2/as at
+    a = 0.  Raises UnboundedOptimumError when the configured variant has
+    no interior maximum (lossless always grows; lumped-exponential with
+    zero total attenuation; amplitude-integral without signal loss or
+    without drive loss saturates or grows monotonically), and
+    OverflowError when the attenuations are so small that the optimum
+    length or its efficiency is too large for a float.
     """
-    a1, a2, ap = (f.attenuation_db_per_m for f in (pump1, pump2, probe))
-    a_s = model.signal_attenuation_db_per_m
+    db = (pump1.attenuation_db_per_m, pump2.attenuation_db_per_m, probe.attenuation_db_per_m)
+    a1, a2, ap = (alpha_linear(x) for x in db)
+    a_s = alpha_linear(model.signal_attenuation_db_per_m)
     if model.loss_variant == "lossless":
         raise UnboundedOptimumError("lossless efficiency grows quadratically without bound")
-    if model.loss_variant == "lumped-exponential" and a1 + a2 + ap + a_s == 0.0:
-        raise UnboundedOptimumError("zero total attenuation leaves the optimum length unbounded")
-    if model.loss_variant == "amplitude-integral" and (a_s == 0.0 or a1 + a2 + ap == 0.0):
+    if model.loss_variant == "lumped-exponential":
+        length = _lumped_optimal_length(a1 + a2 + ap + a_s)
+    elif a_s == 0.0 or a1 + a2 + ap == 0.0:
         raise UnboundedOptimumError(
             "amplitude-integral variant needs both signal and drive attenuation for an interior optimum"
         )
+    else:
+        a = 0.5 * (a1 + a2 + ap - a_s)
+        length = 2.0 / a_s if a == 0.0 else math.log1p(2.0 * a / a_s) / a
+    if not math.isfinite(length):
+        raise OverflowError("the optimum length overflows")
+    efficiency = efficiency_from_powers(
+        model, pump1.coupled_power_w, pump2.coupled_power_w, *db, length, sinc_factor
+    )
+    return LengthOptimum(length_m=length, efficiency=efficiency)
 
-    def eta_of_log(u: float) -> float:
-        return efficiency_from_powers(
-            model, pump1.coupled_power_w, pump2.coupled_power_w, a1, a2, ap, math.exp(u), sinc_factor
-        )
 
-    lo, hi = (math.log(b) for b in search_bounds_m)
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = eta_of_log(x1), eta_of_log(x2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = eta_of_log(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = eta_of_log(x1)
-    u_best = 0.5 * (lo + hi)
-    length = math.exp(u_best)
-    return LengthOptimum(length_m=length, efficiency=eta_of_log(u_best))
+def _lumped_optimal_length(total_linear: float) -> float:
+    """L* = 2 / sum(alpha) of the lumped-exponential variant."""
+    if total_linear == 0.0:
+        raise UnboundedOptimumError("zero total attenuation leaves the optimum length unbounded")
+    return 2.0 / total_linear
 
 
 @dataclass(frozen=True)
@@ -374,10 +369,7 @@ def project_length_scaling(
         except OverflowError:
             raise OverflowError(f"{source}: the efficiency at {length_m:g} m overflows") from None
 
-    total_linear = 4.0 * alpha_linear(attenuation_db_per_m)
-    if total_linear == 0.0:
-        raise UnboundedOptimumError("zero attenuation leaves the optimum length unbounded")
-    l_opt = 2.0 / total_linear
+    l_opt = _lumped_optimal_length(4.0 * alpha_linear(attenuation_db_per_m))
     eta_opt = eta(l_opt, "attenuation_db_per_m")
     eta_ref = eta(reference_length_m, "reference_length_m") if reference_length_m is not None else None
     exceeds = eta_opt > 1.0 or (eta_ref is not None and eta_ref > 1.0)

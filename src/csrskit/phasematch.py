@@ -43,6 +43,7 @@ __all__ = [
     "SchemeDetuningError",
     "NoRootError",
     "NoSolutionError",
+    "NoConvergenceError",
     "ConversionScheme",
     "PressureSolution",
     "AcceptanceWidth",
@@ -85,6 +86,10 @@ class NoRootError(RuntimeError):
 
 class NoSolutionError(RuntimeError):
     """An outer inversion problem has no solution inside its bracket."""
+
+
+class NoConvergenceError(RuntimeError):
+    """A bracketed root search used up its iterations before converging."""
 
 
 def signal_wavelength(probe_nm: float, pump1_nm: float, pump2_nm: float) -> float:
@@ -300,10 +305,12 @@ class ThicknessSolution:
 
 
 def _bracketed_root(f, lo: float, hi: float, ftol: float, what: str, max_iter: int = 200):
-    """Bisection with secant acceleration; terminates on |f| < ftol.
+    """Bisection with secant acceleration; terminates on |f| < ftol or
+    when the bracket has shrunk to a few ulps.
 
-    Requires a strict sign change over [lo, hi]; guaranteed to converge
-    because every step stays inside a shrinking bracket.
+    Requires a strict sign change over [lo, hi].  Every step stays inside
+    a shrinking bracket, but a one-sided secant can creep; a search still
+    open after max_iter steps raises NoConvergenceError.
     """
     f_lo = f(lo)
     f_hi = f(hi)
@@ -327,7 +334,10 @@ def _bracketed_root(f, lo: float, hi: float, ftol: float, what: str, max_iter: i
             a, fa = x, fx
         if b - a <= max(1e-15, 1e-14 * max(abs(a), abs(b))):
             return x, fx, iteration
-    return x, fx, max_iter
+    raise NoConvergenceError(
+        f"{what} not converged after {max_iter} iterations: bracket [{a:.17g}, {b:.17g}], "
+        f"f({x:.17g}) = {fx:g} (tolerance {ftol:g})"
+    )
 
 
 def optimal_pressure(
@@ -345,7 +355,8 @@ def optimal_pressure(
 
     The mismatch must change sign over the bracket, otherwise
     NoRootError carries the sampled endpoint values.  The root is
-    polished until |delta_beta| < ftol_rad_per_m.
+    polished until |delta_beta| < ftol_rad_per_m; a search that does not
+    get there raises NoConvergenceError.
     """
     p_lo, p_hi = bracket
     if not (0.0 <= p_lo < p_hi):

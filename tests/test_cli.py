@@ -9,8 +9,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csrskit import phasematch
 from csrskit.cli import _linspace, main
-from csrskit.config import load_config
+from csrskit.config import SCHEMA, load_config
 from tests.conftest import REPO_ROOT
 
 SHIPPED = str(REPO_ROOT / "configs" / "h2_914nm.yaml")
@@ -55,6 +56,10 @@ def _numeric_leaves(node=None, path=()) -> list:
     if isinstance(node, list):
         return [leaf for index, value in enumerate(node) for leaf in _numeric_leaves(value, path + (index,))]
     return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+#: A value that breaks each constraint of the schema.
+_OUT_OF_RANGE = {"> 0": 0.0, ">= 0": -1.0, "in [0, 1]": 1.5, ">= 3": 2, "> 1 when a constant": 1.0}
 
 
 def _dotted(path) -> str:
@@ -374,6 +379,42 @@ class TestGlobalBehavior:
         assert run("--config", config, "--out", str(tmp_path / "out"), "screen") == 2
         assert f"{_dotted(path)}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path,bad",
+        [(key.path, _OUT_OF_RANGE[key.constraint[0]]) for key in SCHEMA if key.constraint is not None],
+    )
+    def test_out_of_range_config_leaf_exits_2(self, tmp_path, capsys, path, bad):
+        def mutate(tree):
+            *blocks, name = path.split(".")
+            node = tree
+            for block in blocks:
+                node = node[block]
+            node[name] = bad
+
+        config = modified_config(tmp_path, mutate)
+        for command in ("screen", "phase-match", "efficiency"):
+            assert run("--config", config, "--out", str(tmp_path / "out"), command) == 2
+            assert f"error: {path}: must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        root = phasematch._bracketed_root
+        monkeypatch.setattr(phasematch, "_bracketed_root", lambda *args: root(*args, max_iter=1))
+        assert run("--config", SHIPPED, "--out", str(tmp_path), "phase-match") == 3
+        assert "error: delta_beta not converged after 1 iterations" in capsys.readouterr().err
+        assert not (tmp_path / "phase_match.csv").exists()
+
+    def test_optimum_length_overflow_exits_2(self, tmp_path, capsys):
+        def mutate(tree):
+            for beam in ("pump1", "pump2", "probe"):
+                tree["fields"][beam]["attenuation_db_per_m"] = 0.0
+            tree["model"]["signal_attenuation_db_per_m"] = 1e-200
+
+        out = tmp_path / "out"
+        assert run("--config", modified_config(tmp_path, mutate), "--out", str(out), "efficiency") == 2
+        assert "the optimum length or its efficiency overflows" in capsys.readouterr().err
+        assert not (out / "efficiency_vs_length.csv").exists()
 
     @pytest.mark.parametrize(
         "command,option,key,grid,csv",

@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from csrskit.config import ConfigError, load_config
+from csrskit.config import SCHEMA, ConfigError, load_config
 from csrskit.core_model import FiberGeometry
 from tests.conftest import REPO_ROOT
 
@@ -64,7 +64,7 @@ class TestShippedConfig:
         other = config.with_loss_variant("lossless")
         assert other.efficiency_model().loss_variant == "lossless"
         assert other.digest() != config.digest()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^model\.loss_variant: must be one of"):
             config.with_loss_variant("bogus")
 
 
@@ -94,6 +94,10 @@ class TestValidation:
         tree = minimal_tree()
         tree["fields"]["pump1"]["phase"] = 0.0
         with pytest.raises(ConfigError, match=r"fields\.pump1\.phase"):
+            load_config(write_tree(tmp_path, tree))
+        tree = minimal_tree()
+        tree["fiber"].update({1: 2.0, "x": 3.0})  # keys of two types cannot be sorted together
+        with pytest.raises(ConfigError, match=r"fiber\.1: unknown key"):
             load_config(write_tree(tmp_path, tree))
 
     def test_missing_block_and_key(self, tmp_path):
@@ -131,6 +135,16 @@ class TestValidation:
         tree["fiber"]["wall_index"] = {"sellmeier": [[0.69, 0.004]], "table": [[900.0, 1.45]]}
         with pytest.raises(ConfigError):
             load_config(write_tree(tmp_path, tree))
+        tree["fiber"]["wall_index"] = {"table": [[900.0, 1.45], [900.0, 1.44]]}
+        with pytest.raises(ConfigError, match="^fiber: wall-index table wavelengths must be distinct"):
+            load_config(write_tree(tmp_path, tree))
+
+    def test_untagged_sellmeier_pairs_with_a_large_b(self, tmp_path):
+        tree = minimal_tree()
+        tree["fiber"]["wall_index"] = {"sellmeier": [[12.0, 0.01]]}
+        geom = load_config(write_tree(tmp_path, tree)).fiber_geometry()
+        # sqrt(1 + 12 * 1 / (1 - 0.01)) at 1 um; a table reading gave 0.01
+        assert geom.wall_refractive_index(1000.0) == pytest.approx(3.6223, abs=1e-4)
 
     def test_aggregate_incoupling_override(self, tmp_path):
         tree = minimal_tree()
@@ -165,3 +179,9 @@ class TestValidation:
         path.write_text("fiber: [unclosed\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def test_readme_names_every_schema_path():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [key.path for key in SCHEMA if f"`{key.path}`" not in readme]
+    assert missing == []

@@ -15,6 +15,7 @@ from csrskit.core_model import (
     MAX_RADIAL_ORDER,
     ModeLabel,
     ResonanceProximityError,
+    WallIndexTable,
     bessel_zero,
     core_index_curve,
     effective_core_index,
@@ -217,7 +218,7 @@ class TestFiberGeometry:
     def test_wall_index_models(self):
         const = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=1.444)
         assert const.wall_refractive_index(914.0) == 1.444
-        table = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=[(900.0, 1.45), (1600.0, 1.44)])
+        table = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=WallIndexTable([(900.0, 1.45), (1600.0, 1.44)]))
         assert table.wall_refractive_index(900.0) == 1.45
         assert table.wall_refractive_index(1250.0) == pytest.approx(1.445)
         assert table.wall_refractive_index(2000.0) == 1.44
@@ -229,13 +230,26 @@ class TestFiberGeometry:
         assert 1.4 < n < 1.5
 
     def test_sequence_wall_index_is_stored_as_tuples(self):
-        rows = [[900.0, 1.45], [1600.0, 1.44]]
+        rows = [[0.6961663, 0.0046791], [0.4079426, 0.0135121]]
         listed = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=rows)
-        tupled = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=((900.0, 1.45), (1600.0, 1.44)))
-        assert listed.wall_index == ((900.0, 1.45), (1600.0, 1.44))
+        tupled = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=((0.6961663, 0.0046791), (0.4079426, 0.0135121)))
+        assert listed.wall_index == ((0.6961663, 0.0046791), (0.4079426, 0.0135121))
         assert listed == tupled and hash(listed) == hash(tupled)
-        rows[0][1] = 1.6  # the caller's list no longer reaches the geometry
-        assert listed.wall_refractive_index(900.0) == 1.45
+        n = listed.wall_refractive_index(900.0)
+        rows[0][0] = 1.6  # the caller's list no longer reaches the geometry
+        assert listed.wall_refractive_index(900.0) == n
+
+    def test_wall_index_table_is_a_sorted_hashable_value(self):
+        table = WallIndexTable([[1600.0, 1.44], [900.0, 1.45]])
+        assert table.rows == ((900.0, 1.45), (1600.0, 1.44))
+        assert table == WallIndexTable(((900.0, 1.45), (1600.0, 1.44)))
+        assert hash(table) == hash(WallIndexTable([(900, 1.45), (1600, 1.44)]))
+        with pytest.raises(ValueError, match="cannot be compared"):
+            table(float("nan"))
+        with pytest.raises(ValueError, match="at least one row"):
+            WallIndexTable([])
+        with pytest.raises(ValueError, match="distinct"):
+            WallIndexTable([(900.0, 1.45), (900.0, 1.44)])
 
 
 class TestEffectiveCoreIndex:

@@ -194,6 +194,33 @@ class TestOptimalLength:
         derivative = (eta_plus - eta_minus) / (2 * h)
         assert abs(derivative) * result.length_m / result.efficiency < 1e-5
 
+    def test_optimum_beyond_a_kilometre(self):
+        # 0.001 dB/m on every beam: L* = 2 / (4 alpha) = 2171.47 m
+        model = EfficiencyModel(0.0044, "lumped-exponential", signal_attenuation_db_per_m=0.001)
+        result = optimal_length(model, *fields(a1=0.001, a2=0.001, ap=0.001))
+        assert result.length_m == pytest.approx(2171.47, abs=0.01)
+        assert result.length_m == 2.0 / (4 * alpha_linear(0.001))
+        with pytest.warns(ModelValidityWarning):  # 253: far outside the undepleted-pump regime
+            eta = predicted_efficiency(model, *fields(a1=0.001, a2=0.001, ap=0.001), result.length_m)
+        assert result.efficiency == eta
+
+    @pytest.mark.parametrize("a_s", [0.1, 0.3, 0.9, 2.0])  # a > 0, a = 0, a < 0 and a << 0
+    def test_amplitude_integral_closed_form_is_the_maximum(self, a_s):
+        model = EfficiencyModel(0.0044, "amplitude-integral", signal_attenuation_db_per_m=a_s)
+        flds = fields(a1=0.3, a2=0.3, ap=0.3)
+        result = optimal_length(model, *flds)
+        linear = [alpha_linear(x) for x in (0.3, 0.3, 0.3, a_s)]
+        a = 0.5 * (sum(linear[:3]) - linear[3])
+        expected = 2.0 / linear[3] if a == 0.0 else math.log1p(2.0 * a / linear[3]) / a
+        assert result.length_m == expected
+        for factor in (0.99, 1.01):
+            assert predicted_efficiency(model, *flds, result.length_m * factor) < result.efficiency
+
+    def test_too_little_attenuation_overflows(self):
+        for a_s in (1e-200, 1e-320):  # a huge finite optimum, then an infinite one
+            with pytest.raises(OverflowError):
+                optimal_length(EfficiencyModel(0.0044, "lumped-exponential", a_s), *fields())
+
     def test_unbounded_cases(self):
         with pytest.raises(UnboundedOptimumError):
             optimal_length(EfficiencyModel(0.0044, "lossless"), *fields())

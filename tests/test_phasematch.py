@@ -21,6 +21,7 @@ from csrskit.phasematch import (
     AcceptanceWidth,
     ConversionScheme,
     InfeasibleSchemeError,
+    NoConvergenceError,
     NoRootError,
     NoSolutionError,
     SchemeDetuningError,
@@ -225,6 +226,17 @@ class TestOptimalPressure:
             prev = cur
         assert crossing is not None
         assert abs(sol.pressure_bar - crossing) <= 0.1
+
+    def test_unconverged_search_raises_instead_of_returning_a_non_root(self):
+        # the one-sided secant creeps up from 0 and stops at x = 0.0444, f = -0.5
+        with pytest.raises(NoConvergenceError, match=r"^f not converged after 200 iterations: bracket \[0\.0444"):
+            phasematch._bracketed_root(lambda x: x**20 - 0.5, 0.0, 1.5, 1e-14, "f")
+
+    def test_non_convergence_propagates(self, fiber_geom, h2_gas, reference_scheme, monkeypatch):
+        root = phasematch._bracketed_root
+        monkeypatch.setattr(phasematch, "_bracketed_root", lambda *args: root(*args, max_iter=1))
+        with pytest.raises(NoConvergenceError, match="delta_beta not converged after 1 iterations"):
+            optimal_pressure(reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
 
     def test_bracket_independent(self, fiber_geom, h2_gas, reference_scheme):
         kwargs = dict(resonance_exclusion_rel=REFERENCE_EXCLUSION)
@@ -491,9 +503,9 @@ class TestMismatchCurve:
         assert again is first
 
     def test_list_and_tuple_wall_index_give_the_same_bits(self, h2_gas, reference_scheme):
-        rows = [[800.0, 1.4453], [1600.0, 1.4431]]
+        rows = [[1.0, 0.004], [0.08, 0.01]]  # Sellmeier pairs, n ~ 1.444 over the scheme
         listed = FiberGeometry(23.0, 18.3, 1.28, 7, rows)
-        tupled = FiberGeometry(23.0, 18.3, 1.28, 7, ((800.0, 1.4453), (1600.0, 1.4431)))
+        tupled = FiberGeometry(23.0, 18.3, 1.28, 7, ((1.0, 0.004), (0.08, 0.01)))
         assert listed == tupled and hash(listed) == hash(tupled)
         bits = []
         for geom in (listed, tupled):
