@@ -77,8 +77,8 @@ def _fmt(value) -> str:
 def _linspace(start: float, stop: float, count: int) -> list[float]:
     """``count`` evenly spaced points from start to stop, bit for bit as NumPy's ``linspace``.
 
-    Pure Python, so that the subcommands other than ``fit`` load no array
-    library; the arithmetic and its order follow NumPy's, so the CSVs
+    Pure Python, so that no subcommand loads an array library; the
+    arithmetic and its order follow NumPy's, so the CSVs
     are the same doubles.
     """
     delta = stop - start
@@ -146,6 +146,9 @@ def _write_table(path: Path, config: ToolkitConfig, command: str, seed: int, col
         f"config: {config.normalized_json()}",
     ]
     meta.extend(extra_meta)
+    if path.is_file() and not path.is_symlink():
+        # a new file, not a truncated one: closing a truncated rewrite can wait for writeback
+        path.unlink()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in meta:
             fh.write(f"# {line}\n")
@@ -283,7 +286,7 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
                 reference_length_m=projection["reference_length_m"],
                 reference_efficiency=projection["reference_efficiency"],
             )
-        except OverflowError as exc:
+        except (OverflowError, UnboundedOptimumError) as exc:
             raise ValueError(f"projection.{exc}") from None
         extra.append(f"projection_optimal_length_m: {_fmt(report.optimal_length_m)}")
         extra.append(f"projection_efficiency_at_optimum: {_fmt(report.efficiency_at_optimum)}")
@@ -398,7 +401,7 @@ def cmd_screen(config: ToolkitConfig, args, out_dir: Path) -> int:
 
 
 def cmd_fit(config: ToolkitConfig, args, out_dir: Path) -> int:
-    # fitting is the only NumPy user; importing it here keeps NumPy out of every other subcommand
+    # imported here, so that the other subcommands do not load the fitting module
     from csrskit.fitting import DataSeries, fit_bend_saturation, fit_cutback, fit_efficiency_length
 
     series = DataSeries.from_csv(args.data)

@@ -158,7 +158,7 @@ SCHEMA = (
     Key("scheme.pump2_nm", _number, REQUIRED, POSITIVE),
     Key("scheme.probe_nm", _number, REQUIRED, POSITIVE),
     Key("scheme.transition_cm1", _optional_number, None),
-    Key("scheme.detuning_tolerance_cm1", _number, 5.0),
+    Key("scheme.detuning_tolerance_cm1", _number, 5.0, NON_NEGATIVE),
     Key("model.coefficient_pct_per_w2m2", _number, REQUIRED, POSITIVE),
     Key("model.loss_variant", _enum(*LOSS_VARIANTS), "lumped-exponential"),
     Key("model.signal_attenuation_db_per_m", _number, 0.0, NON_NEGATIVE),

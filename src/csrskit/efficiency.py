@@ -270,10 +270,13 @@ def optimal_length(
 
 
 def _lumped_optimal_length(total_linear: float) -> float:
-    """L* = 2 / sum(alpha) of the lumped-exponential variant."""
+    """L* = 2 / sum(alpha) of the lumped-exponential variant; OverflowError when it is too large for a float."""
     if total_linear == 0.0:
         raise UnboundedOptimumError("zero total attenuation leaves the optimum length unbounded")
-    return 2.0 / total_linear
+    length = 2.0 / total_linear
+    if not math.isfinite(length):
+        raise OverflowError("the optimum length overflows")
+    return length
 
 
 @dataclass(frozen=True)
@@ -349,9 +352,11 @@ def project_length_scaling(
     the closed-form optimum is L = 2 / (4 alpha_linear).  Efficiencies are
     reported unclamped; exceeds_unity records whether the quadratic
     undepleted model left its validity range, which is the expected
-    outcome of aggressive extrapolations.  An efficiency too large for a
-    float raises OverflowError naming the input behind its length:
-    attenuation_db_per_m (the optimum) or reference_length_m.
+    outcome of aggressive extrapolations.  Zero attenuation raises
+    UnboundedOptimumError, and an optimum length or efficiency too large
+    for a float raises OverflowError; both messages name the input
+    behind the length: attenuation_db_per_m (the optimum) or
+    reference_length_m.
     """
     model = EfficiencyModel(
         coefficient_pct_per_w2m2=coefficient_pct_per_w2m2,
@@ -369,7 +374,10 @@ def project_length_scaling(
         except OverflowError:
             raise OverflowError(f"{source}: the efficiency at {length_m:g} m overflows") from None
 
-    l_opt = _lumped_optimal_length(4.0 * alpha_linear(attenuation_db_per_m))
+    try:
+        l_opt = _lumped_optimal_length(4.0 * alpha_linear(attenuation_db_per_m))
+    except (OverflowError, UnboundedOptimumError) as exc:
+        raise type(exc)(f"attenuation_db_per_m: {exc}") from None
     eta_opt = eta(l_opt, "attenuation_db_per_m")
     eta_ref = eta(reference_length_m, "reference_length_m") if reference_length_m is not None else None
     exceeds = eta_opt > 1.0 or (eta_ref is not None and eta_ref > 1.0)

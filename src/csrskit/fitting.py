@@ -22,15 +22,19 @@ Standard errors come from the Jacobian at the solution scaled by the
 reduced chi-square and are reported only when there is at least one
 degree of freedom.  Non-convergence is flagged on the result, never
 raised; the best iterate is always returned.
+
+The problems are tiny (a 2x2, a 1x1 and a 3x3 system over a few dozen
+points), so everything is plain Python floats and ``math``: the normal
+equations are accumulated in one pass over the points and solved by
+Gaussian elimination with partial pivoting.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from csrskit.efficiency import EfficiencyModel, efficiency_from_powers
 
@@ -43,43 +47,51 @@ __all__ = [
 ]
 
 
+def _reals(values, name: str) -> list[float]:
+    """values as a list of Python floats; ValueError unless it is a 1-d sequence of reals."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a 1-d sequence of real numbers") from None
+
+
 @dataclass(frozen=True)
 class DataSeries:
-    """Measured (x, y) points with optional per-point uncertainties."""
+    """Measured (x, y) points with optional per-point uncertainties.
 
-    x: np.ndarray
-    y: np.ndarray
-    sigma: np.ndarray | None = None
+    Any sequences of reals are accepted (lists, tuples, 1-d arrays); they
+    are validated element by element and stored as given.
+    """
+
+    x: Sequence[float]
+    y: Sequence[float]
+    sigma: Sequence[float] | None = None
     x_unit: str = ""
     y_unit: str = ""
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        if x.size == 0:
+        x, y = _reals(self.x, "x"), _reals(self.y, "y")
+        if len(x) != len(y):
+            raise ValueError("x and y must have equal length")
+        if not x:
             raise ValueError("series must contain at least one point")
         if self.sigma is not None:
-            s = np.asarray(self.sigma, dtype=float)
-            object.__setattr__(self, "sigma", s)
-            if s.shape != x.shape:
+            s = _reals(self.sigma, "sigma")
+            if len(s) != len(x):
                 raise ValueError("sigma must match x in length")
-            if not np.all(np.isfinite(s)) or np.any(s <= 0):
+            if not all(math.isfinite(v) and v > 0 for v in s):
                 raise ValueError("sigma values must be finite and positive")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
             raise ValueError("series values must be finite")
 
     def __len__(self) -> int:
-        return int(self.x.size)
+        return len(self.x)
 
     @property
-    def weights(self) -> np.ndarray:
+    def weights(self) -> list[float]:
         if self.sigma is None:
-            return np.ones_like(self.x)
-        return 1.0 / self.sigma**2
+            return [1.0] * len(self)
+        return [1.0 / (s * s) for s in _reals(self.sigma, "sigma")]
 
     @classmethod
     def from_csv(cls, path: str | Path, x_unit: str = "", y_unit: str = "") -> "DataSeries":
@@ -111,8 +123,7 @@ class DataSeries:
                 sig.append(values[2])
         if header is None:
             raise ValueError(f"{path}: empty data file")
-        sigma = np.array(sig) if sig else None
-        return cls(x=np.array(xs), y=np.array(ys), sigma=sigma, x_unit=x_unit, y_unit=y_unit)
+        return cls(x=xs, y=ys, sigma=sig or None, x_unit=x_unit, y_unit=y_unit)
 
 
 @dataclass(frozen=True)
@@ -124,14 +135,49 @@ class FitResult:
     iterations: int = 0
 
 
-def _linear_errors(design: np.ndarray, weights: np.ndarray, residuals: np.ndarray) -> np.ndarray | None:
-    n, p = design.shape
-    dof = n - p
+def _solve(a: list[list[float]], rhs: list[list[float]]) -> tuple[list[list[float]], bool]:
+    """Solve a @ x = r for every r in rhs by Gaussian elimination with partial pivoting.
+
+    Returns the solutions and whether a pivot was exactly zero.  An unknown
+    whose column has no nonzero pivot is set to 0: for normal equations
+    with an exactly zero Jacobian column that is the minimum-norm
+    least-squares step.
+    """
+    n = len(a)
+    rows = [a[i] + [r[i] for r in rhs] for i in range(n)]
+    singular = False
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        pivot = rows[p]
+        if pivot[k] == 0.0:
+            singular = True
+            continue
+        rows[k], rows[p] = pivot, rows[k]
+        for i in range(k + 1, n):
+            factor = rows[i][k] / pivot[k]
+            if factor:
+                rows[i] = [u - factor * v for u, v in zip(rows[i], pivot)]
+    solutions = []
+    for j in range(n, n + len(rhs)):
+        x = [0.0] * n
+        for k in range(n - 1, -1, -1):
+            row = rows[k]
+            if row[k] != 0.0:
+                x[k] = (row[j] - sum(row[m] * x[m] for m in range(k + 1, n))) / row[k]
+        solutions.append(x)
+    return solutions, singular
+
+
+def _standard_errors(names, normal: list[list[float]], wrss: float, dof: int) -> dict[str, float] | None:
+    """sqrt(diag(inv(normal)) * wrss / dof), or None without a degree of freedom or a usable inverse."""
     if dof < 1:
         return None
-    wrss = float(np.sum(weights * residuals**2))
-    cov = np.linalg.inv((design * weights[:, None]).T @ design) * (wrss / dof)
-    return np.sqrt(np.diag(cov))
+    n = len(normal)
+    columns, singular = _solve(normal, [[float(i == j) for i in range(n)] for j in range(n)])
+    variances = [columns[k][k] * (wrss / dof) for k in range(n)]
+    if singular or not all(v >= 0 for v in variances):
+        return None
+    return {name: math.sqrt(v) for name, v in zip(names, variances)}
 
 
 def fit_cutback(series: DataSeries) -> FitResult:
@@ -142,19 +188,31 @@ def fit_cutback(series: DataSeries) -> FitResult:
     """
     if len(series) < 3:
         raise ValueError("cut-back fit needs at least 3 points")
-    x, y, w = series.x, series.y, series.weights
-    if np.ptp(x) == 0:
+    x, y, w = _reals(series.x, "x"), _reals(series.y, "y"), series.weights
+    if max(x) == min(x):
         raise ValueError("cut-back fit needs at least two distinct lengths")
-    design = np.column_stack([x, np.ones_like(x)])
-    lhs = (design * w[:, None]).T @ design
-    rhs = (design * w[:, None]).T @ y
-    slope, intercept = np.linalg.solve(lhs, rhs)
-    residuals = y - (slope * x + intercept)
-    errors = _linear_errors(design, w, residuals)
+    swxx = swx = sw = swxy = swy = 0.0
+    for xi, yi, wi in zip(x, y, w):
+        wx = xi * wi
+        swxx += wx * xi
+        swx += wx
+        sw += wi
+        swxy += wx * yi
+        swy += wi * yi
+    normal = [[swxx, swx], [swx, sw]]
+    (solution,), singular = _solve(normal, [[swxy, swy]])
+    if singular:
+        raise ValueError("cut-back fit: the normal equations are singular")
+    slope, intercept = solution
+    wrss = 0.0
+    for xi, yi, wi in zip(x, y, w):
+        r = yi - (slope * xi + intercept)
+        wrss += wi * (r * r)
+    errors = _standard_errors(("alpha_db_per_m", "intercept_db"), normal, wrss, len(x) - 2)
     return FitResult(
         parameters={"alpha_db_per_m": -slope, "intercept_db": intercept},
-        standard_errors=None if errors is None else {"alpha_db_per_m": errors[0], "intercept_db": errors[1]},
-        residual_norm=float(np.sqrt(np.sum(w * residuals**2))),
+        standard_errors=errors,
+        residual_norm=math.sqrt(wrss),
         converged=True,
         iterations=1,
     )
@@ -167,75 +225,110 @@ def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe, sinc_f
     the model, they are not fitted); only the overall coefficient scales.
     C is reported in % / (W^2 m^2).
     """
-    if np.all(series.y == 0):
+    x, y, w = _reals(series.x, "x"), _reals(series.y, "y"), series.weights
+    if all(v == 0 for v in y):
         raise ValueError("all efficiencies are zero; the coefficient is unidentifiable")
     unit = EfficiencyModel(
         coefficient_pct_per_w2m2=1.0,
         loss_variant=model.loss_variant,
         signal_attenuation_db_per_m=model.signal_attenuation_db_per_m,
     )
-    shape = np.array(
-        [
-            efficiency_from_powers(
-                unit,
-                pump1.coupled_power_w,
-                pump2.coupled_power_w,
-                pump1.attenuation_db_per_m,
-                pump2.attenuation_db_per_m,
-                probe.attenuation_db_per_m,
-                length,
-                sinc_factor,
-            )
-            for length in series.x
-        ]
-    )
-    w = series.weights
-    denom = float(np.sum(w * shape**2))
+    shape = [
+        efficiency_from_powers(
+            unit,
+            pump1.coupled_power_w,
+            pump2.coupled_power_w,
+            pump1.attenuation_db_per_m,
+            pump2.attenuation_db_per_m,
+            probe.attenuation_db_per_m,
+            length,
+            sinc_factor,
+        )
+        for length in x
+    ]
+    denom = sum(wi * (s * s) for wi, s in zip(w, shape))
     if denom == 0:
         raise ValueError("model shape vanishes at every supplied length")
-    coeff = float(np.sum(w * shape * series.y) / denom)
-    residuals = series.y - coeff * shape
-    dof = len(series) - 1
-    errors = None
-    if dof >= 1:
-        wrss = float(np.sum(w * residuals**2))
-        errors = {"coefficient_pct_per_w2m2": math.sqrt((wrss / dof) / denom)}
+    coeff = sum(wi * s * yi for wi, s, yi in zip(w, shape, y)) / denom
+    wrss = 0.0
+    for wi, s, yi in zip(w, shape, y):
+        r = yi - coeff * s
+        wrss += wi * (r * r)
+    dof = len(x) - 1
+    errors = {"coefficient_pct_per_w2m2": math.sqrt((wrss / dof) / denom)} if dof >= 1 else None
     return FitResult(
         parameters={"coefficient_pct_per_w2m2": coeff},
         standard_errors=errors,
-        residual_norm=float(np.sqrt(np.sum(w * residuals**2))),
+        residual_norm=math.sqrt(wrss),
         converged=True,
         iterations=1,
     )
 
 
-def _saturation(x: np.ndarray, p_max: float, b: float, r0: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return p_max * (1.0 - np.exp(-b * (x - r0)))
+def _exp_or_inf(t: float) -> float:
+    """math.exp, but +inf on overflow as an array exp gives, instead of OverflowError."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
 
 
-def _saturation_jacobian(x: np.ndarray, p_max: float, b: float, r0: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        decay = np.exp(-b * (x - r0))
-    return np.column_stack([1.0 - decay, p_max * (x - r0) * decay, -p_max * b * decay])
+def _wrss(x, y, sqrt_w, p_max: float, b: float, r0: float) -> float:
+    """Weighted sum of squared residuals of the saturation curve; +inf if any residual is not finite."""
+    total = 0.0
+    try:
+        for xi, yi, si in zip(x, y, sqrt_w):
+            r = (yi - p_max * (1.0 - math.exp(-b * (xi - r0)))) * si
+            total += r * r
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(total) else total
 
 
-def _auto_initial(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    order = np.argsort(x)
-    xs, ys = x[order], y[order]
-    p_max = float(np.max(ys))
+def _normal_equations(x, y, sqrt_w, p_max: float, b: float, r0: float, exp=math.exp):
+    """J^T J (3x3) and J^T r (3) of the weighted saturation residuals, in one pass."""
+    s00 = s01 = s02 = s11 = s12 = s22 = g0 = g1 = g2 = 0.0
+    for xi, yi, si in zip(x, y, sqrt_w):
+        d = xi - r0
+        decay = exp(-b * d)
+        j0 = (1.0 - decay) * si
+        j1 = p_max * d * decay * si
+        j2 = -p_max * b * decay * si
+        r = (yi - p_max * (1.0 - decay)) * si
+        s00 += j0 * j0
+        s01 += j0 * j1
+        s02 += j0 * j2
+        s11 += j1 * j1
+        s12 += j1 * j2
+        s22 += j2 * j2
+        g0 += j0 * r
+        g1 += j1 * r
+        g2 += j2 * r
+    return [[s00, s01, s02], [s01, s11, s12], [s02, s12, s22]], [g0, g1, g2]
+
+
+def _saturation_normal_equations(x, y, sqrt_w, params):
+    try:
+        return _normal_equations(x, y, sqrt_w, *params)
+    except OverflowError:  # only from a start whose residuals already overflow
+        return _normal_equations(x, y, sqrt_w, *params, exp=_exp_or_inf)
+
+
+def _auto_initial(x: list[float], y: list[float]) -> tuple[float, float, float]:
+    order = sorted(range(len(x)), key=x.__getitem__)
+    xs, ys = [x[i] for i in order], [y[i] for i in order]
+    p_max = max(ys)
     if p_max <= 0:
         p_max = 1.0
-    r0 = float(np.min(xs))
-    distinct = np.nonzero(np.diff(xs) > 0)[0]
-    if distinct.size:
-        i = distinct[0]
-        slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        b = abs(slope) / p_max
-    else:
-        b = 0.0
+    r0 = xs[0]
+    b = 0.0
+    for i in range(len(xs) - 1):
+        if xs[i + 1] > xs[i]:
+            slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+            b = abs(slope) / p_max
+            break
     if b <= 0:
-        b = 1.0 / max(np.ptp(xs), 1.0)
+        b = 1.0 / max(xs[-1] - xs[0], 1.0)
     return p_max, b, r0
 
 
@@ -253,59 +346,38 @@ def fit_bend_saturation(
     """
     if len(series) < 4:
         raise ValueError("bend saturation fit needs at least 4 points")
-    x, y, w = series.x, series.y, series.weights
-    sqrt_w = np.sqrt(w)
-    params = np.array(initial if initial is not None else _auto_initial(x, y), dtype=float)
+    x, y = _reals(series.x, "x"), _reals(series.y, "y")
+    sqrt_w = [math.sqrt(wi) for wi in series.weights]
+    params = [float(p) for p in (initial if initial is not None else _auto_initial(x, y))]
 
-    def wrss(p: np.ndarray) -> float:
-        res = (y - _saturation(x, *p)) * sqrt_w
-        res = np.where(np.isfinite(res), res, np.inf)
-        return float(np.sum(res**2))
-
-    current = wrss(params)
+    current = _wrss(x, y, sqrt_w, *params)
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        residuals = (y - _saturation(x, *params)) * sqrt_w
-        jac = _saturation_jacobian(x, *params) * sqrt_w[:, None]
-        try:
-            step = np.linalg.solve(jac.T @ jac, jac.T @ residuals)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, residuals, rcond=None)
+        normal, gradient = _saturation_normal_equations(x, y, sqrt_w, params)
+        (step,), _ = _solve(normal, [gradient])
         # damping: halve the step until the weighted SSR stops increasing
         scale = 1.0
         for _ in range(30):
-            candidate = params + scale * step
-            if wrss(candidate) <= current:
+            candidate = [p + scale * s for p, s in zip(params, step)]
+            new = _wrss(x, y, sqrt_w, *candidate)
+            if new <= current:
                 break
             scale *= 0.5
         else:
-            candidate = params  # no productive step found at any damping
-        new = wrss(candidate)
-        rel_step = np.max(np.abs(candidate - params) / np.maximum(np.abs(params), 1e-12))
+            candidate, new = params, current  # no productive step found at any damping
+        small = all(abs(c - p) / max(abs(p), 1e-12) < step_tol for c, p in zip(candidate, params))
         params, current = candidate, new
-        if rel_step < step_tol:
+        if small:
             converged = True
             break
 
-    residuals = y - _saturation(x, *params)
-    jac = _saturation_jacobian(x, *params)
-    errors = None
-    dof = len(series) - 3
-    if dof >= 1:
-        wrss_final = float(np.sum(w * residuals**2))
-        try:
-            cov = np.linalg.inv((jac * w[:, None]).T @ jac) * (wrss_final / dof)
-            diag = np.diag(cov)
-            if np.all(diag >= 0):
-                se = np.sqrt(diag)
-                errors = {"p_max": se[0], "b": se[1], "r0": se[2]}
-        except np.linalg.LinAlgError:
-            errors = None
+    normal, _ = _saturation_normal_equations(x, y, sqrt_w, params)
+    errors = _standard_errors(("p_max", "b", "r0"), normal, current, len(x) - 3)
     return FitResult(
         parameters={"p_max": params[0], "b": params[1], "r0": params[2]},
         standard_errors=errors,
-        residual_norm=float(np.sqrt(np.sum(w * residuals**2))),
+        residual_norm=math.sqrt(current),
         converged=converged,
         iterations=iterations,
     )

@@ -469,6 +469,18 @@ class TestGlobalBehavior:
         assert f"projection.{key}: the efficiency at {length} m overflows" in capsys.readouterr().err
         assert not (out / "efficiency_vs_length.csv").exists()
 
+    @pytest.mark.parametrize(
+        "value,cause", [(1e-320, "the optimum length overflows"), (0.0, "zero total attenuation")]
+    )
+    def test_projection_attenuation_without_a_finite_optimum_exits_2(self, tmp_path, capsys, value, cause):
+        def mutate(tree):
+            tree["projection"]["attenuation_db_per_m"] = value
+
+        out = tmp_path / "out"
+        assert run("--config", modified_config(tmp_path, mutate), "--out", str(out), "efficiency") == 2
+        assert f"error: projection.attenuation_db_per_m: {cause}" in capsys.readouterr().err
+        assert not (out / "efficiency_vs_length.csv").exists()
+
     @pytest.mark.parametrize("from_config", [False, True])
     @pytest.mark.parametrize(
         "command,option,key,csv",
@@ -493,16 +505,34 @@ class TestGlobalBehavior:
     def test_cli_import_does_not_load_scipy(self):
         assert fresh_interpreter_packages(["import csrskit.cli"]) == []
 
-    def test_only_fit_loads_numpy(self, tmp_path):
+    def test_no_subcommand_loads_numpy(self, tmp_path):
         def call(*argv):
             return f"assert csrskit.cli.main({['--config', SHIPPED, '--out', str(tmp_path), *argv]!r}) == 0"
 
         lines = ["import csrskit.cli"]
         lines += [call(command) for command in ("phase-match", "efficiency", "bend", "screen")]
+        for kind, data in (("cutback", CUTBACK_DATA), ("efficiency", EFFICIENCY_DATA), ("bend", BEND_DATA)):
+            lines.append(call("fit", "--kind", kind, "--data", data))
         assert fresh_interpreter_packages(lines) == []
-        # the same kind of run sees numpy once fit is called, so the check above can fail
-        lines.append(call("fit", "--kind", "cutback", "--data", CUTBACK_DATA))
-        assert fresh_interpreter_packages(lines) == ["numpy"]
+        # the same run sees numpy once anything imports it, so the check above can fail
+        assert fresh_interpreter_packages([*lines, "import numpy"]) == ["numpy"]
+
+    def test_rerun_replaces_the_csv(self, tmp_path):
+        assert run("--config", SHIPPED, "--out", str(tmp_path), "phase-match") == 0
+        first = (tmp_path / "phase_match.csv").read_bytes()
+        assert run("--config", SHIPPED, "--out", str(tmp_path), "phase-match") == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["phase_match.csv"]
+        assert (tmp_path / "phase_match.csv").read_bytes() == first
+
+    def test_rerun_writes_through_a_symlinked_csv(self, tmp_path):
+        target = tmp_path / "kept.csv"
+        target.write_text("stale\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "phase_match.csv").symlink_to(target)
+        assert run("--config", SHIPPED, "--out", str(out), "phase-match") == 0
+        assert (out / "phase_match.csv").is_symlink()
+        assert target.read_text().startswith("# csrskit")
 
 
 def fresh_interpreter_packages(lines) -> list:

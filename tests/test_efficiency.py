@@ -277,6 +277,13 @@ class TestScalingProjection:
         assert proj.optimal_length_m == pytest.approx(opt.length_m, rel=1e-3)
         assert proj.efficiency_at_optimum == pytest.approx(opt.efficiency, rel=1e-6)
 
+    def test_attenuation_without_a_finite_optimum_is_named(self):
+        # 2 / (4 alpha) overflows to inf at 1e-320 dB/m, and has no value at 0
+        with pytest.raises(OverflowError, match="^attenuation_db_per_m: the optimum length overflows"):
+            project_length_scaling(0.0044, 15.0, 8.0, 1e-320, 0.83)
+        with pytest.raises(UnboundedOptimumError, match="^attenuation_db_per_m: zero total attenuation"):
+            project_length_scaling(0.0044, 15.0, 8.0, 0.0, 0.83)
+
 
 class TestFieldValidation:
     def test_light_field_invariants(self):

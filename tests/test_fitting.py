@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from csrskit.efficiency import EfficiencyModel, LightField
-from csrskit.fitting import DataSeries, fit_bend_saturation, fit_cutback, fit_efficiency_length
+from csrskit.efficiency import EfficiencyModel, LightField, predicted_efficiency
+from csrskit.fitting import DataSeries, _solve, fit_bend_saturation, fit_cutback, fit_efficiency_length
+from tests.conftest import REPO_ROOT
 
 SEED_BASE = 20260811
+DATA = {kind: REPO_ROOT / "data" / f"{kind}_synthetic.csv" for kind in ("cutback", "efficiency", "bend")}
 
 
 def cutback_series(alpha: float, intercept: float = -0.8, n: int = 20, noise: float = 0.0, seed=None):
@@ -44,9 +50,24 @@ class TestDataSeries:
         with pytest.raises(ValueError, match="header"):
             DataSeries.from_csv(path)
 
+    def test_keeps_the_sequences_it_is_given(self):
+        x, y, sigma = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([0.1, 0.2])
+        series = DataSeries(x, y, sigma=sigma)
+        assert series.x is x and series.y is y and series.sigma is sigma
+        listed = DataSeries([1.0, 2.0], (3, 4))
+        assert listed.x == [1.0, 2.0] and listed.y == (3, 4)
+        assert listed.weights == [1.0, 1.0]
+        assert series.weights == pytest.approx([100.0, 25.0], rel=1e-15)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             DataSeries(np.array([1.0, 2.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="1-d sequence"):
+            DataSeries(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="1-d sequence"):
+            DataSeries([1.0, None], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            DataSeries([], [])
         with pytest.raises(ValueError):
             DataSeries(np.array([1.0, np.inf]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -211,6 +232,13 @@ class TestFitBendSaturation:
         assert not res.converged
         assert np.isfinite(res.residual_norm)
 
+    def test_start_with_overflowing_residuals_is_flagged_not_raised(self):
+        # exp(-b (r - r0)) overflows at every point of this start, as in the numpy version
+        y = saturation(self.X, 83.0, 8.0, 0.10)
+        res = fit_bend_saturation(DataSeries(self.X, y), initial=(83.0, 8000.0, 1.0), max_iterations=5)
+        assert (res.converged, res.iterations, res.standard_errors) == (False, 5, None)
+        assert not np.isfinite(res.residual_norm)
+
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_bend_saturation(DataSeries(self.X[:3], saturation(self.X[:3], 83.0, 8.0, 0.10)))
@@ -231,3 +259,238 @@ class TestFitBendSaturation:
                 hits_r += 1
         assert hits_p / n_rep >= 0.98
         assert hits_r / n_rep >= 0.98
+
+
+# -- numpy references for the pure-Python fits --------------------------------
+
+
+def _numpy_normal_fit(design, y, w):
+    """Weighted linear least squares through numpy: parameters, standard errors, residual norm."""
+    lhs = (design * w[:, None]).T @ design
+    params = np.linalg.solve(lhs, (design * w[:, None]).T @ y)
+    lstsq, *_ = np.linalg.lstsq(design * np.sqrt(w)[:, None], y * np.sqrt(w), rcond=None)
+    np.testing.assert_allclose(params, lstsq, rtol=1e-8, atol=1e-10)
+    wrss = float(np.sum(w * (y - design @ params) ** 2))
+    dof = len(y) - design.shape[1]
+    errors = np.sqrt(np.diag(np.linalg.inv(lhs)) * wrss / dof) if dof >= 1 else None
+    return params, errors, np.sqrt(wrss)
+
+
+def _numpy_bend_errors(x, y, w, p_max, b, r0):
+    """Residual norm, standard errors and the normal matrix's condition number at given parameters, through numpy."""
+    decay = np.exp(-b * (x - r0))
+    residuals = y - p_max * (1.0 - decay)
+    jac = np.column_stack([1.0 - decay, p_max * (x - r0) * decay, -p_max * b * decay])
+    wrss = float(np.sum(w * residuals**2))
+    normal = (jac * w[:, None]).T @ jac
+    cond = np.linalg.cond(normal)
+    errors = np.sqrt(np.diag(np.linalg.inv(normal)) * wrss / (len(x) - 3)) if cond < 1e8 else None
+    return np.sqrt(wrss), errors, cond
+
+
+def _numpy_auto_start(x, y):
+    """The automatic start on numpy arrays: p_max = max y, r0 = min x, b from the first two distinct x."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    p_max = float(np.max(ys)) if np.max(ys) > 0 else 1.0
+    i = np.nonzero(np.diff(xs) > 0)[0][0]
+    b = abs((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])) / p_max
+    return p_max, b, float(xs[0])
+
+
+def _numpy_bend_fit(x, y, w, initial, max_iterations=200, step_tol=1e-8):
+    """Damped Gauss-Newton on numpy arrays: np.linalg.solve, and lstsq when it is singular."""
+    sqrt_w = np.sqrt(w)
+
+    def wrss(p):
+        with np.errstate(over="ignore"):
+            res = (y - p[0] * (1.0 - np.exp(-p[1] * (x - p[2])))) * sqrt_w
+        return float(np.sum(np.where(np.isfinite(res), res, np.inf) ** 2))
+
+    params = np.array(initial, dtype=float)
+    current = wrss(params)
+    for iterations in range(1, max_iterations + 1):
+        p_max, b, r0 = params
+        decay = np.exp(-b * (x - r0))
+        residuals = (y - p_max * (1.0 - decay)) * sqrt_w
+        jac = np.column_stack([1.0 - decay, p_max * (x - r0) * decay, -p_max * b * decay]) * sqrt_w[:, None]
+        try:
+            step = np.linalg.solve(jac.T @ jac, jac.T @ residuals)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, residuals, rcond=None)
+        scale = 1.0
+        for _ in range(30):
+            candidate = params + scale * step
+            if wrss(candidate) <= current:
+                break
+            scale *= 0.5
+        else:
+            candidate = params
+        rel_step = np.max(np.abs(candidate - params) / np.maximum(np.abs(params), 1e-12))
+        params, current = candidate, wrss(candidate)
+        if rel_step < step_tol:
+            return params, iterations, True
+    return params, max_iterations, False
+
+
+def _arrays(series):
+    w = np.ones(len(series)) if series.sigma is None else 1.0 / np.asarray(series.sigma, dtype=float) ** 2
+    return np.asarray(series.x, dtype=float), np.asarray(series.y, dtype=float), w
+
+
+_SIGMA = st.floats(min_value=0.01, max_value=1.0)
+
+
+@st.composite
+def _cutback_series(draw):
+    n = draw(st.integers(min_value=3, max_value=30))
+    x = draw(st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=n, max_size=n))
+    assume(max(x) - min(x) > 0.5)
+    y = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=n, max_size=n))
+    sigma = draw(st.none() | st.lists(_SIGMA, min_size=n, max_size=n))
+    return DataSeries(x, y, sigma=sigma)
+
+
+@given(series=_cutback_series())
+@settings(max_examples=200, deadline=None)
+def test_cutback_matches_numpy_least_squares(series):
+    x, y, w = _arrays(series)
+    params, errors, norm = _numpy_normal_fit(np.column_stack([x, np.ones_like(x)]), y, w)
+    res = fit_cutback(series)
+    got = [-res.parameters["alpha_db_per_m"], res.parameters["intercept_db"]]
+    np.testing.assert_allclose(got, params, rtol=1e-9, atol=1e-10)
+    se = [res.standard_errors["alpha_db_per_m"], res.standard_errors["intercept_db"]]
+    np.testing.assert_allclose(se, errors, rtol=1e-7, atol=1e-12)
+    assert res.residual_norm == pytest.approx(norm, rel=1e-9, abs=1e-12)
+
+
+_EFFICIENCY_MODEL = EfficiencyModel(0.0044, "lumped-exponential", signal_attenuation_db_per_m=0.79)
+_EFFICIENCY_UNIT = EfficiencyModel(1.0, "lumped-exponential", signal_attenuation_db_per_m=0.79)
+_EFFICIENCY_FIELDS = (LightField(1550.0, 3.0, 0.07), LightField(942.0, 3.0, 0.37), LightField(914.0, 0.001, 0.93))
+
+
+def _efficiency_shape(lengths):
+    return np.array([predicted_efficiency(_EFFICIENCY_UNIT, *_EFFICIENCY_FIELDS, length) for length in lengths])
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.5, max_value=1.5), _SIGMA),
+        min_size=1,
+        max_size=12,
+    ),
+    weighted=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_efficiency_fit_matches_numpy_normal_equation(points, weighted):
+    lengths = [length for length, _, _ in points]
+    etas = [0.0044 * s * factor for s, (_, factor, _) in zip(_efficiency_shape(lengths), points)]
+    sigma = [rel * eta for (_, _, rel), eta in zip(points, etas)] if weighted else None
+    series = DataSeries(lengths, etas, sigma=sigma)
+    x, y, w = _arrays(series)
+    params, errors, norm = _numpy_normal_fit(_efficiency_shape(x)[:, None], y, w)
+    res = fit_efficiency_length(series, _EFFICIENCY_MODEL, *_EFFICIENCY_FIELDS)
+    assert res.parameters["coefficient_pct_per_w2m2"] == pytest.approx(params[0], rel=1e-12)
+    # a residual norm at rounding level, as for a single point, is compared on the scale of the data
+    assert res.residual_norm == pytest.approx(norm, rel=1e-9, abs=1e-12 * math.sqrt(float(np.sum(w * y**2))))
+    if errors is None:
+        assert res.standard_errors is None
+    else:
+        se = res.standard_errors["coefficient_pct_per_w2m2"]
+        assert se == pytest.approx(errors[0], rel=1e-9, abs=1e-12 * params[0])
+
+
+def test_linear_fits_match_numpy_on_the_data_files():
+    series = DataSeries.from_csv(DATA["cutback"])
+    x, y, w = _arrays(series)
+    params, errors, norm = _numpy_normal_fit(np.column_stack([x, np.ones_like(x)]), y, w)
+    res = fit_cutback(series)
+    np.testing.assert_allclose([-res.parameters["alpha_db_per_m"], res.parameters["intercept_db"]], params, rtol=1e-12)
+    # exact data: the residual and the standard errors are rounding noise in both
+    assert res.residual_norm < 1e-13 and norm < 1e-13
+    assert max(res.standard_errors.values()) < 1e-13 and max(errors) < 1e-13
+
+    series = DataSeries.from_csv(DATA["efficiency"])
+    x, y, w = _arrays(series)
+    params, errors, norm = _numpy_normal_fit(_efficiency_shape(x)[:, None], y, w)
+    res = fit_efficiency_length(series, _EFFICIENCY_MODEL, *_EFFICIENCY_FIELDS)
+    assert res.parameters["coefficient_pct_per_w2m2"] == pytest.approx(params[0], rel=1e-12)
+    assert res.residual_norm == pytest.approx(norm, rel=1e-6)
+    assert res.standard_errors["coefficient_pct_per_w2m2"] == pytest.approx(errors[0], rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "initial,iterations",
+    [
+        (None, 5),  # the automatic start
+        ((83.0, 0.0, 0.1), 8),  # b = 0: two Jacobian columns are exactly zero, and numpy falls back to lstsq
+        ((83.0, 50.0, 0.0), 8),  # damped candidates whose exp overflows must count as an infinite SSR
+    ],
+)
+def test_bend_fit_follows_the_numpy_gauss_newton_path(initial, iterations):
+    series = DataSeries.from_csv(DATA["bend"])
+    x, y, w = _arrays(series)
+    res = fit_bend_saturation(series, initial=initial)
+    params, ref_iterations, ref_converged = _numpy_bend_fit(x, y, w, initial or _numpy_auto_start(x, y))
+    assert (res.iterations, res.converged) == (ref_iterations, ref_converged) == (iterations, True)
+    got = [res.parameters[k] for k in ("p_max", "b", "r0")]
+    np.testing.assert_allclose(got, params, rtol=1e-12)
+    np.testing.assert_allclose(got, [83.0, 8.0, 0.1], rtol=1e-12)
+
+
+@st.composite
+def _bend_series(draw):
+    p_max = draw(st.floats(min_value=60.0, max_value=110.0))
+    b = draw(st.floats(min_value=3.0, max_value=15.0))
+    r0 = draw(st.floats(min_value=0.05, max_value=0.12))
+    # radii on a grid of 200 steps over the rise: no two points nearly coincide, and
+    # the points span at least half the rise, so that all three parameters are identifiable
+    steps = draw(st.lists(st.integers(min_value=0, max_value=200), min_size=8, max_size=40, unique=True))
+    assume(max(steps) - min(steps) >= 100)
+    x = [r0 + 0.005 + (4.0 / b) * k / 200 for k in sorted(steps)]
+    n = len(x)
+    noise = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n))
+    # exact data, or data off by a constant (which the model absorbs), leave standard errors of rounding noise
+    assume(max(noise) - min(noise) > 0.1)
+    sd = draw(st.floats(min_value=0.01, max_value=0.5))
+    y = [p_max * (1.0 - math.exp(-b * (xi - r0))) + sd * z for xi, z in zip(x, noise)]
+    sigma = draw(st.none() | st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=n, max_size=n))
+    return DataSeries(x, y, sigma=None if sigma is None else [sd * s for s in sigma])
+
+
+@given(series=_bend_series())
+@settings(max_examples=150, deadline=None)
+def test_bend_fit_matches_numpy(series):
+    x, y, w = _arrays(series)
+    res = fit_bend_saturation(series)
+    got = [res.parameters[k] for k in ("p_max", "b", "r0")]
+    assume(all(math.isfinite(v) for v in got))
+    norm, errors, cond = _numpy_bend_errors(x, y, w, *got)
+    assert res.residual_norm == pytest.approx(norm, rel=1e-9)
+    # where the fit ran off into a degenerate corner (the spurious minima of the
+    # automatic start), rounding decides the path and the inverse; compare the rest
+    assume(res.converged and cond < 1e8)
+    np.testing.assert_allclose([res.standard_errors[k] for k in ("p_max", "b", "r0")], errors, rtol=1e-6)
+    params, _, converged = _numpy_bend_fit(x, y, w, _numpy_auto_start(x, y))
+    assert converged
+    np.testing.assert_allclose(got, params, rtol=1e-6)
+
+
+@given(
+    jac=st.lists(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3, max_size=3), min_size=3, max_size=8),
+    rhs=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_numpy(jac, rhs):
+    matrix = np.array(jac).T @ np.array(jac) + np.eye(3)
+    (got,), singular = _solve(matrix.tolist(), [rhs])
+    assert not singular
+    np.testing.assert_allclose(got, np.linalg.solve(matrix, rhs), rtol=1e-9, atol=1e-12)
+
+
+def test_solve_leaves_a_zero_column_at_the_minimum_norm_step():
+    jac = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 3.0, 0.0]])
+    r = np.array([1.0, 1.0, 2.0])
+    (got,), singular = _solve((jac.T @ jac).tolist(), [(jac.T @ r).tolist()])
+    assert singular
+    np.testing.assert_allclose(got, np.linalg.lstsq(jac, r, rcond=None)[0], rtol=1e-15)
