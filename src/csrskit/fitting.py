@@ -332,6 +332,11 @@ def _auto_initial(x: list[float], y: list[float]) -> tuple[float, float, float]:
     return p_max, b, r0
 
 
+def _step_below(new: list[float], old: list[float], step_tol: float) -> bool:
+    """True when every parameter moved by less than step_tol relative to its old value."""
+    return all(abs(c - p) / max(abs(p), 1e-12) < step_tol for c, p in zip(new, old))
+
+
 def fit_bend_saturation(
     series: DataSeries,
     initial: tuple[float, float, float] | None = None,
@@ -342,7 +347,11 @@ def fit_bend_saturation(
 
     Converged when the largest relative parameter step drops below
     step_tol; otherwise the best iterate is returned with
-    converged=False.
+    converged=False.  When no step halving lowers the weighted SSR the
+    fit stops at the current iterate.  It counts as converged only if the
+    undamped step passes the step_tol test or the SSR decrease the
+    linearised model predicts for it is below step_tol of the SSR (the
+    minimum to rounding); a start no step can improve is not converged.
     """
     if len(series) < 4:
         raise ValueError("bend saturation fit needs at least 4 points")
@@ -365,8 +374,16 @@ def fit_bend_saturation(
                 break
             scale *= 0.5
         else:
-            candidate, new = params, current  # no productive step found at any damping
-        small = all(abs(c - p) / max(abs(p), 1e-12) < step_tol for c, p in zip(candidate, params))
+            # No halving lowers the SSR: stop at params.  That is convergence
+            # only if the full step is already below step_tol, or if the SSR
+            # decrease Gauss-Newton promises for it (step . J^T r) is below
+            # step_tol of the SSR, so that rounding at the minimum hides it.
+            promised = sum(s * g for s, g in zip(step, gradient))
+            converged = promised <= step_tol * current or _step_below(
+                [p + s for p, s in zip(params, step)], params, step_tol
+            )
+            break
+        small = _step_below(candidate, params, step_tol)
         params, current = candidate, new
         if small:
             converged = True

@@ -217,16 +217,19 @@ def mismatch_curve(
     geometry's wall_index and the gas's compressibility, when callables,
     are pure functions.
     """
+    return _mismatch_curve(scheme, temperature_k, geom, gas, _field_modes(modes), variant, resonance_exclusion_rel)
+
+
+def _field_modes(modes: dict[str, ModeLabel] | ModeLabel | None) -> tuple[ModeLabel, ...]:
+    """The mode of each field in FIELD_NAMES order; LP01 where modes gives none."""
     if modes is None:
         modes = LP01
     if isinstance(modes, ModeLabel):
-        field_modes = (modes,) * len(FIELD_NAMES)
-    else:
-        unknown = set(modes) - set(FIELD_NAMES)
-        if unknown:
-            raise ValueError(f"unknown field names in mode overrides: {sorted(unknown)}")
-        field_modes = tuple(modes.get(name, LP01) for name in FIELD_NAMES)
-    return _mismatch_curve(scheme, temperature_k, geom, gas, field_modes, variant, resonance_exclusion_rel)
+        return (modes,) * len(FIELD_NAMES)
+    unknown = set(modes) - set(FIELD_NAMES)
+    if unknown:
+        raise ValueError(f"unknown field names in mode overrides: {sorted(unknown)}")
+    return tuple(modes.get(name, LP01) for name in FIELD_NAMES)
 
 
 #: Designs whose curves stay cached; a design study works on one at a time.
@@ -381,12 +384,49 @@ def pressure_acceptance(
 ) -> AcceptanceWidth:
     """Full pressure width over which sinc^2(delta_beta L / 2) >= 1/2.
 
-    Scans outward from p_opt_bar on both sides; a side that never drops
-    below half maximum inside the scan limits is reported as unbounded
-    (width_bar = inf, bounded = False).
+    Each side is searched on the grid p_k = p_opt_bar + (limit - p_opt_bar)
+    k / scan_steps, k = 1 .. scan_steps, toward its scan limit.  The first
+    grid index k* where the factor drops below 1/2 is found by galloping
+    (k = 1, 2, 4, ..., capped at scan_steps) and then bisecting over the
+    integers between the last index still at or above 1/2 and the first
+    below it; the edge is then bisected on [p_(k*-1), p_k*] (p_0 =
+    p_opt_bar) to 1e-6 bar.  No pressure beyond the scan limits is
+    evaluated: where rounding would carry p_scan_steps past its limit, the
+    limit is used.  A side that never drops below half maximum on the grid
+    is reported as unbounded (width_bar = inf, bounded = False); when the
+    factor at p_opt_bar is already below 1/2, both edges are p_opt_bar.
+
+    The search premises that the factor, once below 1/2 along a side,
+    stays below it out to the scan limit.  That holds when delta_beta is
+    monotone in pressure, as the gas-dominated mismatch of this model is:
+    sinc^2 never climbs back to 1/2 past its first half-maximum point, so
+    the pressures where the factor is >= 1/2 form one interval around
+    p_opt_bar.  Under that premise the edges equal, bit for bit, those of a
+    walk over every grid point; a mismatch that fell back inside the band
+    past the first crossing could make the search settle on a later one.
+    The search evaluates up to about twice as far from p_opt_bar as the
+    first crossing, so an error raised out there (a DispersionDomainError
+    at an extreme limit, say) can surface where a walk would have stopped.
+
+    Raises ValueError, naming the argument, unless scan_steps is an
+    integer >= 1, length_m is finite and positive, and p_opt_bar and both
+    scan limits are finite with 0 <= scan_limits[0] <= p_opt_bar <=
+    scan_limits[1].
     """
+    if not isinstance(scan_steps, int) or scan_steps < 1:
+        raise ValueError(f"scan_steps must be an integer >= 1, got {scan_steps!r}")
+    if not (math.isfinite(length_m) and length_m > 0.0):
+        raise ValueError(f"length_m must be finite and positive, got {length_m!r}")
+    if not math.isfinite(p_opt_bar):
+        raise ValueError(f"p_opt_bar must be finite, got {p_opt_bar!r}")
     if scan_limits is None:
         scan_limits = (0.0, 3.0 * p_opt_bar + 10.0)
+    p_min, p_max = scan_limits
+    if not (math.isfinite(p_min) and math.isfinite(p_max) and 0.0 <= p_min <= p_opt_bar <= p_max):
+        raise ValueError(
+            f"scan_limits must be finite with 0 <= scan_limits[0] <= p_opt_bar <= scan_limits[1], "
+            f"got {tuple(scan_limits)!r} around p_opt_bar = {p_opt_bar!r}"
+        )
     mismatch = mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
 
     def factor(p: float) -> float:
@@ -394,29 +434,37 @@ def pressure_acceptance(
 
     def crossing(toward: float) -> float | None:
         # first pressure where the factor falls below 1/2, refined by bisection
-        prev_p = p_opt_bar
-        prev_f = factor(p_opt_bar)
-        if prev_f < 0.5:  # p_opt is not a valid maximum for this length
-            return p_opt_bar
-        for k in range(1, scan_steps + 1):
+        def grid(k: int) -> float:
+            # grid(0) is p_opt_bar; rounding can carry grid(scan_steps) past the limit
             p = p_opt_bar + (toward - p_opt_bar) * k / scan_steps
-            fval = factor(p)
-            if fval < 0.5:
-                a, b = prev_p, p
-                for _ in range(60):
-                    mid = 0.5 * (a + b)
-                    if factor(mid) >= 0.5:
-                        a = mid
-                    else:
-                        b = mid
-                    if abs(b - a) < 1e-6:
-                        break
-                return 0.5 * (a + b)
-            prev_p, prev_f = p, fval
-        return None
+            return max(p, toward) if toward < p_opt_bar else min(p, toward)
 
-    lower = crossing(scan_limits[0])
-    upper = crossing(scan_limits[1])
+        if factor(p_opt_bar) < 0.5:  # p_opt is not a valid maximum for this length
+            return p_opt_bar
+        inside, k = 0, 1  # the factor is >= 1/2 at grid(inside)
+        while factor(grid(k)) >= 0.5:
+            if k == scan_steps:
+                return None
+            inside, k = k, min(2 * k, scan_steps)
+        while k - inside > 1:  # the first index below 1/2 lies in (inside, k]
+            mid = (inside + k) // 2
+            if factor(grid(mid)) >= 0.5:
+                inside = mid
+            else:
+                k = mid
+        a, b = grid(k - 1), grid(k)
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if factor(mid) >= 0.5:
+                a = mid
+            else:
+                b = mid
+            if abs(b - a) < 1e-6:
+                break
+        return 0.5 * (a + b)
+
+    lower = crossing(p_min)
+    upper = crossing(p_max)
     bounded = lower is not None and upper is not None
     width = (upper - lower) if bounded else math.inf
     return AcceptanceWidth(lower_bar=lower, upper_bar=upper, width_bar=width, bounded=bounded)
@@ -449,24 +497,26 @@ def infer_wall_thickness(
     succeed at both bracket ends; resonance-proximity or no-root
     failures there surface as NoSolutionError with diagnostics, as does
     a search that is still open after its iteration cap.
+
+    Each trial thickness is a new design, so its mismatch curve is built
+    without the curve cache; the phase-matching solve is the one
+    optimal_pressure runs, with its default tolerance.
     """
 
     def p_of_t(t_um: float) -> float:
         geom_t = replace(geom, wall_thickness_um=t_um)
-        sol = optimal_pressure(
-            scheme,
-            temperature_k,
-            geom_t,
-            gas,
-            bracket=pressure_bracket,
-            modes=modes,
-            variant=variant,
-            resonance_exclusion_rel=resonance_exclusion_rel,
+        mismatch = _mismatch_curve.__wrapped__(
+            scheme, temperature_k, geom_t, gas, field_modes, variant, resonance_exclusion_rel
         )
-        return sol.pressure_bar
+        return _bracketed_root(mismatch, p_lo, p_hi, 1e-6, "delta_beta")[0]
 
     t_lo, t_hi = thickness_bracket_um
     try:
+        # optimal_pressure's argument checks, made once for every thickness
+        p_lo, p_hi = pressure_bracket
+        if not (0.0 <= p_lo < p_hi):
+            raise ValueError("bracket must satisfy 0 <= p_lo < p_hi")
+        field_modes = _field_modes(modes)
         g_lo = p_of_t(t_lo) - p_opt_measured_bar
         g_hi = p_of_t(t_hi) - p_opt_measured_bar
     except Exception as exc:

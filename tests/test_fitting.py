@@ -239,6 +239,28 @@ class TestFitBendSaturation:
         assert (res.converged, res.iterations, res.standard_errors) == (False, 5, None)
         assert not np.isfinite(res.residual_norm)
 
+    def test_start_no_step_improves_is_not_converged(self):
+        # every halved step from this start overflows, so the fit cannot leave it
+        series = DataSeries.from_csv(DATA["bend"])
+        stuck = fit_bend_saturation(series, initial=(20.0, 200.0, 0.0))
+        assert (stuck.converged, stuck.iterations) == (False, 1)
+        assert stuck.parameters == {"p_max": 20.0, "b": 200.0, "r0": 0.0}
+        auto = fit_bend_saturation(series)
+        assert (auto.converged, auto.iterations) == (True, 5)
+
+    def test_minimum_within_rounding_is_converged(self):
+        # at iteration 9 no halving lowers the SSR (0.2343...) and the full step
+        # is 8e-8 relative, but Gauss-Newton promises a decrease of only 1e-14
+        x = [0.2578187666007299, 0.31251593703612934, 0.32582304894921177, 0.34260810837479444,
+             0.3619852040912442, 0.37941120620306706, 0.4275294057632899, 0.4311529527632114,
+             0.4934843709441225, 0.5094004113933532, 0.5368870857694193]  # fmt: skip
+        y = [54.28465493416857, 59.45166323583064, 60.18333658328274, 61.66490278096801,
+             62.83340239890246, 63.52055842563842, 65.62997491999779, 65.698499571021,
+             67.33659964571486, 67.24369202593817, 68.03793444983009]  # fmt: skip
+        res = fit_bend_saturation(DataSeries(x, y))
+        assert (res.converged, res.iterations) == (True, 9)
+        assert res.residual_norm == pytest.approx(math.sqrt(0.23430683896204813), rel=1e-12)
+
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_bend_saturation(DataSeries(self.X[:3], saturation(self.X[:3], 83.0, 8.0, 0.10)))

@@ -319,6 +319,74 @@ class TestPressureAcceptance:
         assert not w.bounded
         assert math.isinf(w.width_bar)
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(scan_steps=0), r"scan_steps must be an integer >= 1, got 0"),
+            (dict(scan_steps=-5), r"scan_steps must be an integer >= 1, got -5"),
+            (dict(scan_steps=2.5), r"scan_steps must be an integer >= 1, got 2\.5"),
+            (dict(scan_limits=(95.0, 200.0)), r"scan_limits must be finite with 0 <= scan_limits\[0\] <= p_opt_bar"),
+            (dict(scan_limits=(200.0, 0.0)), r"scan_limits must be finite with 0 <= scan_limits\[0\] <= p_opt_bar"),
+            (dict(scan_limits=(-10.0, 200.0)), r"scan_limits must be finite with 0 <= scan_limits\[0\] <= p_opt_bar"),
+            (dict(scan_limits=(0.0, math.inf)), r"scan_limits must be finite"),
+            (dict(p_opt_bar=math.nan), r"p_opt_bar must be finite, got nan"),
+            (dict(length_m=math.inf), r"length_m must be finite and positive, got inf"),
+            (dict(length_m=math.nan), r"length_m must be finite and positive, got nan"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_bad_arguments_are_named(self, fiber_geom, h2_gas, reference_scheme, p_opt, overrides, message):
+        kwargs = {"length_m": 1.85, "p_opt_bar": p_opt, "resonance_exclusion_rel": REFERENCE_EXCLUSION, **overrides}
+        with pytest.raises(ValueError, match=message):
+            pressure_acceptance(reference_scheme, T_K, fiber_geom, h2_gas, **kwargs)
+
+    def test_scan_stays_inside_the_limits(self, fiber_geom, h2_gas, reference_scheme, monkeypatch):
+        # 99.97... + (0 - 99.97...) * 2000 / 2000 rounds to a negative pressure
+        p_opt = 99.9704742763209
+        pressures = []
+        build = phasematch.mismatch_curve
+
+        def recording_curve(*args):
+            curve = build(*args)
+            return lambda p: pressures.append(p) or curve(p)
+
+        monkeypatch.setattr(phasematch, "mismatch_curve", recording_curve)
+        w = pressure_acceptance(
+            reference_scheme, T_K, fiber_geom, h2_gas, 1e-6, p_opt, resonance_exclusion_rel=REFERENCE_EXCLUSION
+        )
+        assert (w.lower_bar, w.upper_bar, w.bounded) == (None, None, False)
+        assert 0.0 <= min(pressures) and max(pressures) <= 3.0 * p_opt + 10.0
+
+    @given(
+        thickness=st.floats(1.235, 1.297),
+        core_radius=st.floats(22.0, 24.0),
+        temperature=st.floats(283.0, 303.0),
+        length=st.floats(0.05, 30.0),
+        p_offset=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+        scan_steps=st.one_of(st.just(2000), st.integers(1, 5000)),
+        limits=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 400.0))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_search_equals_the_grid_walk(self, thickness, core_radius, temperature, length, p_offset, scan_steps, limits):
+        # design-sweep's design space, outside the wall-resonance guard band
+        geom = FiberGeometry(core_radius, 18.3, thickness, 7, 1.444)
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15)
+        kwargs = dict(resonance_exclusion_rel=REFERENCE_EXCLUSION)
+        try:
+            p_root = optimal_pressure(_SCHEME, temperature, geom, gas, **kwargs).pressure_bar
+        except (ResonanceProximityError, NoRootError):
+            assume(False)
+        p_opt = max(0.0, p_root + p_offset)
+        if limits is not None:  # a fraction of the way down to 0 bar, a span above p_opt
+            limits = (p_opt * limits[0], p_opt + limits[1])
+        args = (_SCHEME, temperature, geom, gas, length, p_opt, limits, scan_steps)
+
+        def bits(width):
+            edges = (width.lower_bar, width.upper_bar, width.width_bar)
+            return tuple(None if x is None else x.hex() for x in edges), width.bounded
+
+        assert bits(pressure_acceptance(*args, **kwargs)) == bits(_walk_acceptance(*args, **kwargs))
+
 
 class TestInferWallThickness:
     BRACKET = (1.26, 1.29)
@@ -365,6 +433,31 @@ class TestInferWallThickness:
                 resonance_exclusion_rel=REFERENCE_EXCLUSION,
             )
 
+    def test_trial_thicknesses_bypass_the_curve_cache(self, fiber_geom, h2_gas, reference_scheme):
+        p_measured = optimal_pressure(
+            reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION
+        ).pressure_bar
+        before = phasematch._mismatch_curve.cache_info()
+        infer_wall_thickness(
+            p_measured, reference_scheme, T_K, fiber_geom, h2_gas, self.BRACKET,
+            resonance_exclusion_rel=REFERENCE_EXCLUSION,
+        )
+        assert phasematch._mismatch_curve.cache_info() == before
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(pressure_bracket=(200.0, 1.0)), r"bracket must satisfy 0 <= p_lo < p_hi"),
+            (dict(modes={"idler": LP11}), r"unknown field names in mode overrides: \['idler'\]"),
+        ],
+    )
+    def test_bad_solver_arguments_name_the_endpoint(self, fiber_geom, h2_gas, reference_scheme, overrides, message):
+        with pytest.raises(NoSolutionError, match=r"optimal_pressure failed at a thickness bracket endpoint: " + message):
+            infer_wall_thickness(
+                90.0, reference_scheme, T_K, fiber_geom, h2_gas, self.BRACKET,
+                resonance_exclusion_rel=REFERENCE_EXCLUSION, **overrides,
+            )
+
     def test_unreachable_pressure_raises(self, fiber_geom, h2_gas, reference_scheme):
         with pytest.raises(NoSolutionError):
             infer_wall_thickness(
@@ -403,11 +496,67 @@ class TestShippedDesignPins:
         width = pressure_acceptance(*args, length_m, p_opt, **kwargs)
         assert (width.lower_bar.hex(), width.upper_bar.hex()) == (lower, upper)
 
+    @pytest.mark.parametrize("length_m", [0.3, 1.85])
+    def test_pressure_acceptance_evaluations(self, shipped, monkeypatch, length_m):
+        calls = []
+        factor = phasematch.phase_matching_factor
+        monkeypatch.setattr(phasematch, "phase_matching_factor", lambda *a: calls.append(a) or factor(*a))
+        args, kwargs = shipped
+        pressure_acceptance(*args, length_m, float.fromhex("0x1.73190e408d740p+6"), **kwargs)
+        assert len(calls) <= 80  # a walk over the 2000-step grid took 838 at 0.3 m and 165 at 1.85 m
+
     def test_infer_wall_thickness(self, shipped):
         (scheme, t_k, geom, gas), kwargs = shipped
         p_opt = float.fromhex("0x1.73190e408d740p+6")
         sol = infer_wall_thickness(p_opt, scheme, t_k, geom, gas, (1.26, 1.29), **kwargs)
         assert sol.thickness_um.hex() == "0x1.47ae147adee50p+0"
+
+
+# --- reference: pressure_acceptance as a walk over every grid point -----------------
+
+
+def _walk_acceptance(
+    scheme, temperature_k, geom, gas, length_m, p_opt_bar, scan_limits=None, scan_steps=2000,
+    modes=None, variant="zeisberger", resonance_exclusion_rel=0.03,
+):
+    """Each side stepped k = 1, 2, ... outward until the factor drops below 1/2, then bisected.
+
+    The grid points are held inside the scan limits; without that, rounding
+    can put the last point past a limit, below 0 bar on the lower side.
+    """
+    if scan_limits is None:
+        scan_limits = (0.0, 3.0 * p_opt_bar + 10.0)
+    mismatch = mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
+
+    def factor(p):
+        return phase_matching_factor(mismatch(p), length_m)
+
+    def crossing(toward):
+        prev_p = p_opt_bar
+        if factor(p_opt_bar) < 0.5:
+            return p_opt_bar
+        for k in range(1, scan_steps + 1):
+            p = p_opt_bar + (toward - p_opt_bar) * k / scan_steps
+            p = max(p, toward) if toward < p_opt_bar else min(p, toward)
+            if factor(p) < 0.5:
+                a, b = prev_p, p
+                for _ in range(60):
+                    mid = 0.5 * (a + b)
+                    if factor(mid) >= 0.5:
+                        a = mid
+                    else:
+                        b = mid
+                    if abs(b - a) < 1e-6:
+                        break
+                return 0.5 * (a + b)
+            prev_p = p
+        return None
+
+    lower = crossing(scan_limits[0])
+    upper = crossing(scan_limits[1])
+    bounded = lower is not None and upper is not None
+    width = (upper - lower) if bounded else math.inf
+    return AcceptanceWidth(lower_bar=lower, upper_bar=upper, width_bar=width, bounded=bounded)
 
 
 # --- reference: delta_beta as evaluated field by field, one call per pressure -----
