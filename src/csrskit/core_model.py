@@ -56,6 +56,7 @@ __all__ = [
     "marcatili_mode_index",
     "resonance_wavelengths",
     "transmission_window",
+    "weighted_index_curve",
     "core_index_curve",
     "effective_core_index",
 ]
@@ -326,6 +327,90 @@ def _check_resonance_proximity(
             )
 
 
+def weighted_index_curve(
+    geom: FiberGeometry,
+    gas: GasDispersion,
+    fields: Sequence[tuple[float, float, ModeLabel]],
+    temperature_k: float,
+    variant: str = "zeisberger",
+    resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
+) -> Callable[[float], float]:
+    """Weighted sum of core-mode effective indices as a function of pressure (bar).
+
+    fields holds one (weight, wavelength_nm, mode) triple per field; the
+    returned function gives sum_i weight_i * n_eff(wavelength_i, mode_i, p),
+    accumulated in field order from 0.0.  Each n_eff follows the formula of
+    core_index_curve.
+
+    Everything that does not depend on pressure is checked and computed
+    here, once, field by field in the given order: ResonanceProximityError
+    (the wavelength is within resonance_exclusion_rel of a wall resonance of
+    the geometry), the wavelength, temperature and refractivity-pole checks,
+    the Marcatili term and the wall-term constants.  The returned function
+    checks the pressure and computes the relative gas density once (calling
+    the gas's compressibility, if any, once per pressure above vacuum).  It
+    then evaluates the gas index and the wall term of each field, with the
+    arithmetic in the same order as a direct evaluation; a gas index at or
+    above the wall index raises DispersionDomainError for the first such
+    field.
+    """
+    if variant not in INDEX_VARIANTS:
+        raise ValueError(f"unknown index variant {variant!r}; expected one of {INDEX_VARIANTS}")
+    marcatili = variant == "marcatili"
+    r_m = geom.core_radius_um * 1e-6
+    t_m = geom.wall_thickness_um * 1e-6
+    terms = []
+    for weight, wavelength_nm, mode in fields:
+        n_wall = geom.wall_refractive_index(wavelength_nm)
+        _check_resonance_proximity(wavelength_nm, geom.wall_thickness_um, n_wall, resonance_exclusion_rel)
+        if wavelength_nm <= 0:
+            raise ValueError("wavelength must be positive")
+        if temperature_k <= 0:
+            raise ValueError("temperature must be positive")
+        refractivity = gas.reference_refractivity(wavelength_nm)
+        lam_m = wavelength_nm * 1e-9
+        j = _BESSEL_ZEROS[mode.l][mode.m - 1]  # ModeLabel checked the orders on construction
+        u = j * lam_m / (_TWO_PI * r_m)
+        phase_coefficient = _TWO_PI * t_m / lam_m
+        wall_prefactor = j**2 * lam_m**3 / (_EIGHT_PI_CUBED * r_m**3)
+        terms.append(
+            (weight, refractivity, 0.5 * u * u, n_wall, n_wall**2, phase_coefficient, wall_prefactor, wavelength_nm)
+        )
+    reference_pressure = gas.reference_pressure_bar
+    temperature_ratio = gas.reference_temperature_k / temperature_k
+    compressibility = gas.compressibility
+    sqrt, tan = math.sqrt, math.tan
+
+    def index_sum(pressure_bar: float) -> float:
+        if pressure_bar < 0:
+            raise ValueError("pressure must be non-negative")
+        vacuum = pressure_bar == 0.0
+        if not vacuum:
+            # gas_index and GasDispersion.relative_density, inlined
+            rho = (pressure_bar / reference_pressure) * temperature_ratio
+            if compressibility is not None:
+                rho = rho / compressibility(pressure_bar, temperature_k)
+        total = 0.0
+        for weight, refractivity, half_u2, n_wall, n_wall2, phase_coefficient, wall_prefactor, wavelength_nm in terms:
+            n_g = 1.0 if vacuum else sqrt(1.0 + rho * refractivity)
+            n_eff = n_g - half_u2 / n_g
+            if not marcatili:
+                eps = (n_wall / n_g) ** 2
+                try:
+                    phi = phase_coefficient * sqrt(n_wall2 - n_g**2)
+                    polarization_factor = (eps + 1.0) / (2.0 * sqrt(eps - 1.0))
+                    n_eff = n_eff - wall_prefactor * polarization_factor / tan(phi)
+                except (ValueError, ZeroDivisionError):  # n_g at or above n_wall
+                    raise DispersionDomainError(
+                        f"at {pressure_bar:g} bar the gas index {n_g:.6g} at {wavelength_nm:g} nm reaches the "
+                        f"wall index {n_wall:.6g}; the wall model needs the gas index below the wall index"
+                    ) from None
+            total += weight * n_eff
+        return total
+
+    return index_sum
+
+
 def core_index_curve(
     geom: FiberGeometry,
     gas: GasDispersion,
@@ -347,65 +432,12 @@ def core_index_curve(
     sqrt(n_wall^2 - n_gas^2).  variant "marcatili" drops the wall term.
     Callers that persist results should record the variant used.
 
-    Everything that does not depend on pressure is checked and computed
-    here, once: ResonanceProximityError (the wavelength is within
-    resonance_exclusion_rel of a wall resonance of the geometry), the
-    wavelength, temperature and refractivity-pole checks, the Marcatili
-    term and the wall-term constants.  The returned function does only
-    the pressure check, the gas index and the wall term, with the
-    arithmetic in the same order as a direct evaluation.
+    This is weighted_index_curve with the one field (1.0, wavelength_nm,
+    mode), so its checks run once, here.
     """
-    if variant not in INDEX_VARIANTS:
-        raise ValueError(f"unknown index variant {variant!r}; expected one of {INDEX_VARIANTS}")
-    n_wall = geom.wall_refractive_index(wavelength_nm)
-    _check_resonance_proximity(wavelength_nm, geom.wall_thickness_um, n_wall, resonance_exclusion_rel)
-    if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
-    if temperature_k <= 0:
-        raise ValueError("temperature must be positive")
-    refractivity = gas.reference_refractivity(wavelength_nm)
-    reference_pressure = gas.reference_pressure_bar
-    temperature_ratio = gas.reference_temperature_k / temperature_k
-    compressibility = gas.compressibility
-
-    lam_m = wavelength_nm * 1e-9
-    r_m = geom.core_radius_um * 1e-6
-    j = _BESSEL_ZEROS[mode.l][mode.m - 1]  # ModeLabel checked the orders on construction
-    u = j * lam_m / (_TWO_PI * r_m)
-    half_u2 = 0.5 * u * u
-    marcatili = variant == "marcatili"
-    if not marcatili:
-        t_m = geom.wall_thickness_um * 1e-6
-        n_wall2 = n_wall**2
-        phase_coefficient = _TWO_PI * t_m / lam_m
-        wall_prefactor = j**2 * lam_m**3 / (_EIGHT_PI_CUBED * r_m**3)
-
-    def n_eff_of(pressure_bar: float) -> float:
-        if pressure_bar < 0:
-            raise ValueError("pressure must be non-negative")
-        if pressure_bar == 0.0:
-            n_g = 1.0
-        else:
-            # gas_index and GasDispersion.relative_density, inlined
-            rho = (pressure_bar / reference_pressure) * temperature_ratio
-            if compressibility is not None:
-                rho = rho / compressibility(pressure_bar, temperature_k)
-            n_g = math.sqrt(1.0 + rho * refractivity)
-        n_eff = n_g - half_u2 / n_g
-        if marcatili:
-            return n_eff
-        eps = (n_wall / n_g) ** 2
-        try:
-            phi = phase_coefficient * math.sqrt(n_wall2 - n_g**2)
-            polarization_factor = (eps + 1.0) / (2.0 * math.sqrt(eps - 1.0))
-            return n_eff - wall_prefactor * polarization_factor / math.tan(phi)
-        except (ValueError, ZeroDivisionError):  # n_g at or above n_wall
-            raise DispersionDomainError(
-                f"at {pressure_bar:g} bar the gas index {n_g:.6g} at {wavelength_nm:g} nm reaches the "
-                f"wall index {n_wall:.6g}; the wall model needs the gas index below the wall index"
-            ) from None
-
-    return n_eff_of
+    return weighted_index_curve(
+        geom, gas, ((1.0, wavelength_nm, mode),), temperature_k, variant, resonance_exclusion_rel
+    )
 
 
 def effective_core_index(

@@ -314,6 +314,13 @@ def _saturation_normal_equations(x, y, sqrt_w, params):
         return _normal_equations(x, y, sqrt_w, *params, exp=_exp_or_inf)
 
 
+#: Smallest radius gap, as a share of the radius span, that the automatic start
+#: takes its slope from: over radii 1 ulp apart the slope is noise and sent the
+#: fit to b ~ 1e8.  Every bend series in the first 20 000 perfbench analysis-batch
+#: jobs of seeds 1 and 97 has its first gap above 1.4e-6 of the span.
+_START_GAP_SHARE = 1e-6
+
+
 def _auto_initial(x: list[float], y: list[float]) -> tuple[float, float, float]:
     order = sorted(range(len(x)), key=x.__getitem__)
     xs, ys = [x[i] for i in order], [y[i] for i in order]
@@ -322,8 +329,9 @@ def _auto_initial(x: list[float], y: list[float]) -> tuple[float, float, float]:
         p_max = 1.0
     r0 = xs[0]
     b = 0.0
+    min_gap = _START_GAP_SHARE * (xs[-1] - xs[0])
     for i in range(len(xs) - 1):
-        if xs[i + 1] > xs[i]:
+        if xs[i + 1] - xs[i] > min_gap:
             slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
             b = abs(slope) / p_max
             break

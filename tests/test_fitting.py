@@ -248,6 +248,17 @@ class TestFitBendSaturation:
         auto = fit_bend_saturation(series)
         assert (auto.converged, auto.iterations) == (True, 5)
 
+    def test_start_ignores_radii_one_ulp_apart(self):
+        # the slope of the first two radii, 1 ulp apart, once started the fit at a
+        # step function: b = 1.37e8, p_max = 42.0, residual_norm 21.7, "converged"
+        x = [0.1120018208035401, 0.11200182080354011, 0.25, 0.5, 1.0]
+        y = [8.280282084878102, 8.280282144482747, 25.813030516144618, 43.85121907624897, 56.39671992628152]
+        res = fit_bend_saturation(DataSeries(x, y))
+        assert res.converged
+        assert res.parameters["b"] < 100.0
+        assert res.residual_norm < 1e-6
+        assert res.parameters == pytest.approx({"p_max": 60.0, "b": 3.0, "r0": 0.0625}, rel=1e-6)
+
     def test_minimum_within_rounding_is_converged(self):
         # at iteration 9 no halving lowers the SSR (0.2343...) and the full step
         # is 8e-8 relative, but Gauss-Newton promises a decrease of only 1e-14

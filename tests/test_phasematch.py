@@ -11,10 +11,12 @@ from csrskit.config import load_config
 from csrskit.core_model import (
     LP01,
     LP11,
+    DispersionDomainError,
     FiberGeometry,
     GasDispersion,
     ModeLabel,
     ResonanceProximityError,
+    core_index_curve,
     gas_index,
 )
 from csrskit.phasematch import (
@@ -390,6 +392,8 @@ class TestPressureAcceptance:
 
 class TestInferWallThickness:
     BRACKET = (1.26, 1.29)
+    #: the shipped config's index settings; the default pressure brackets are design-sweep's
+    SHIPPED = dict(variant="zeisberger", resonance_exclusion_rel=REFERENCE_EXCLUSION)
 
     def test_round_trip(self, fiber_geom, h2_gas, reference_scheme):
         forward = optimal_pressure(
@@ -465,6 +469,43 @@ class TestInferWallThickness:
                 resonance_exclusion_rel=REFERENCE_EXCLUSION,
             )
 
+    @given(
+        thickness=st.floats(1.235, 1.297),
+        core_radius=st.floats(22.0, 24.0),
+        temperature=st.floats(283.0, 303.0),
+        below=st.floats(0.0, 1.0),
+        above=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_iterations_stay_few(self, thickness, core_radius, temperature, below, above):
+        # design-sweep's designs and brackets, outside the wall-resonance guard band
+        geom = FiberGeometry(core_radius, 18.3, thickness, 7, 1.444)
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15)
+        bracket = (thickness - 0.005 - 0.015 * below, thickness + 0.005 + 0.015 * above)
+        try:
+            p_measured = optimal_pressure(_SCHEME, temperature, geom, gas, **self.SHIPPED).pressure_bar
+            sol = infer_wall_thickness(p_measured, _SCHEME, temperature, geom, gas, bracket, **self.SHIPPED)
+        except (ResonanceProximityError, NoSolutionError):
+            assume(False)
+        assert 1 <= sol.iterations <= 12  # plain false position took up to 4868
+        assert abs(sol.thickness_um - thickness) <= 2e-5
+        tight = infer_wall_thickness(
+            p_measured, _SCHEME, temperature, geom, gas, bracket, thickness_tol_um=1e-10, **self.SHIPPED
+        )
+        assert abs(sol.thickness_um - tight.thickness_um) <= 1e-5
+
+    def test_stalled_false_position_design(self):
+        # plain false position took 1061 iterations on this design-sweep design (seed 1, design 5769)
+        geom = FiberGeometry(23.479146295550514, 18.3, 1.249467713191475, 7, 1.444)
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15)
+        temperature = 285.8651302351945
+        p_measured = optimal_pressure(_SCHEME, temperature, geom, gas, **self.SHIPPED).pressure_bar
+        sol = infer_wall_thickness(
+            p_measured, _SCHEME, temperature, geom, gas, (1.2384397812993273, 1.2565337830830117), **self.SHIPPED
+        )
+        assert sol.iterations <= 12
+        assert sol.thickness_um == pytest.approx(1.249467713191475, abs=2e-5)
+
 
 class TestShippedDesignPins:
     """Solver outputs on configs/h2_914nm.yaml, bit for bit (float.hex)."""
@@ -509,7 +550,9 @@ class TestShippedDesignPins:
         (scheme, t_k, geom, gas), kwargs = shipped
         p_opt = float.fromhex("0x1.73190e408d740p+6")
         sol = infer_wall_thickness(p_opt, scheme, t_k, geom, gas, (1.26, 1.29), **kwargs)
-        assert sol.thickness_um.hex() == "0x1.47ae147adee50p+0"
+        # plain false position gave 0x1.47ae147adee50p+0 after 26 iterations
+        assert sol.thickness_um.hex() == "0x1.47ae147a703a3p+0"
+        assert sol.iterations == 6
 
 
 # --- reference: pressure_acceptance as a walk over every grid point -----------------
@@ -716,3 +759,149 @@ class TestMismatchCurve:
         expected = evaluate(_reference_delta_beta, args)
         assert evaluate(curve, args) == expected
         assert evaluate(delta_beta, args) == expected
+
+
+# --- reference: the mismatch as a sum of one index closure per field ----------------
+
+
+def _closure_index_curve(geom, gas, wavelength_nm, temperature_k, mode, variant, exclusion_rel):
+    """core_index_curve as it was before the fields shared one kernel: one closure
+    per field, each computing its own gas density."""
+    if variant not in ("zeisberger", "marcatili"):
+        raise ValueError(f"unknown index variant {variant!r}; expected one of {('zeisberger', 'marcatili')}")
+    n_wall = geom.wall_refractive_index(wavelength_nm)
+    _reference_resonance_check(wavelength_nm, geom.wall_thickness_um, n_wall, exclusion_rel)
+    if wavelength_nm <= 0:
+        raise ValueError("wavelength must be positive")
+    if temperature_k <= 0:
+        raise ValueError("temperature must be positive")
+    refractivity = gas.reference_refractivity(wavelength_nm)
+    reference_pressure = gas.reference_pressure_bar
+    temperature_ratio = gas.reference_temperature_k / temperature_k
+    compressibility = gas.compressibility
+    lam_m = wavelength_nm * 1e-9
+    r_m = geom.core_radius_um * 1e-6
+    j = mode.bessel_zero
+    u = j * lam_m / (2.0 * math.pi * r_m)
+    half_u2 = 0.5 * u * u
+    t_m = geom.wall_thickness_um * 1e-6
+    n_wall2 = n_wall**2
+    phase_coefficient = 2.0 * math.pi * t_m / lam_m
+    wall_prefactor = j**2 * lam_m**3 / (8.0 * math.pi**3 * r_m**3)
+
+    def n_eff_of(pressure_bar):
+        if pressure_bar < 0:
+            raise ValueError("pressure must be non-negative")
+        if pressure_bar == 0.0:
+            n_g = 1.0
+        else:
+            rho = (pressure_bar / reference_pressure) * temperature_ratio
+            if compressibility is not None:
+                rho = rho / compressibility(pressure_bar, temperature_k)
+            n_g = math.sqrt(1.0 + rho * refractivity)
+        n_eff = n_g - half_u2 / n_g
+        if variant == "marcatili":
+            return n_eff
+        eps = (n_wall / n_g) ** 2
+        try:
+            phi = phase_coefficient * math.sqrt(n_wall2 - n_g**2)
+            polarization_factor = (eps + 1.0) / (2.0 * math.sqrt(eps - 1.0))
+            return n_eff - wall_prefactor * polarization_factor / math.tan(phi)
+        except (ValueError, ZeroDivisionError):
+            raise DispersionDomainError(
+                f"at {pressure_bar:g} bar the gas index {n_g:.6g} at {wavelength_nm:g} nm reaches the "
+                f"wall index {n_wall:.6g}; the wall model needs the gas index below the wall index"
+            ) from None
+
+    return n_eff_of
+
+
+def _closure_mismatch(scheme, temperature_k, geom, gas, modes, variant, exclusion_rel):
+    """The mismatch curve as a signed sum of four per-field closures, in scheme order."""
+    signs = {"pump1": 1.0, "pump2": -1.0, "probe": 1.0, "signal": -1.0}
+    terms = []
+    for (name, lam), mode in zip(scheme.wavelengths_nm().items(), phasematch._field_modes(modes)):
+        n_eff = _closure_index_curve(geom, gas, lam, temperature_k, mode, variant, exclusion_rel)
+        terms.append((signs[name] * (2.0 * math.pi / (lam * 1e-9)), n_eff))
+
+    def mismatch(pressure_bar):
+        total = 0.0
+        for k0, n_eff in terms:
+            total += k0 * n_eff(pressure_bar)
+        return total
+
+    return mismatch
+
+
+def _curve_outcome(build, pressure):
+    """The curve's value at pressure as a hex string, or where and how it failed."""
+    try:
+        curve = build()
+    except Exception as exc:  # the comparison is the point: any type, any message
+        return "build", type(exc), str(exc)
+    return _outcome(curve, pressure)
+
+
+#: compression factor of a gas a little stiffer than ideal, pure in (p, T)
+def _stiff(p, t):
+    return 1.0 + 2e-5 * p * (293.0 / t)
+
+
+class TestFusedMismatchKernel:
+    @given(
+        pressure=st.one_of(
+            st.just(0.0), st.floats(0.0, 250.0), st.floats(4290.0, 4340.0), st.floats(-100.0, -1e-9)
+        ),
+        temperature=st.one_of(st.just(293.0), st.floats(200.0, 400.0)),
+        core_radius=st.floats(10.0, 40.0),
+        thickness=st.floats(0.4, 2.0),
+        wall_index=st.sampled_from([1.444, ((0.6961663, 0.0046791), (0.4079426, 0.0135121), (0.8974794, 97.934))]),
+        compressibility=st.sampled_from([None, _stiff]),
+        modes=st.one_of(
+            st.none(), st.sampled_from([LP01, LP11]), st.sampled_from(phasematch.FIELD_NAMES).map(lambda f: {f: LP11})
+        ),
+        variant=st.sampled_from(["zeisberger", "marcatili"]),
+        exclusion=st.floats(0.0, 0.05),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_fused_curve_equals_the_closure_sum(
+        self, pressure, temperature, core_radius, thickness, wall_index, compressibility, modes, variant, exclusion
+    ):
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15, compressibility)
+        geom = FiberGeometry(core_radius, 18.3, thickness, 7, wall_index)
+        args = (_SCHEME, temperature, geom, gas, modes, variant, exclusion)
+        expected = _curve_outcome(lambda: _closure_mismatch(*args), pressure)
+        assert _curve_outcome(lambda: mismatch_curve(*args), pressure) == expected
+        field_modes = phasematch._field_modes(modes)
+        for lam, mode in zip(_SCHEME.wavelengths_nm().values(), field_modes):
+            field = (geom, gas, lam, temperature, mode, variant, exclusion)
+            assert _curve_outcome(lambda: core_index_curve(*field), pressure) == _curve_outcome(
+                lambda: _closure_index_curve(*field), pressure
+            )
+
+    @pytest.mark.parametrize("compressibility", [None, _stiff])
+    @pytest.mark.parametrize("wall_index", [1.444, ((1.0, 0.004), (0.08, 0.01))])
+    def test_first_field_at_the_wall_index_names_itself(self, compressibility, wall_index):
+        # from ~4300 bar on, the gas index of one field after another reaches the wall index
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15, compressibility)
+        geom = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index)
+        args = (_SCHEME, T_K, geom, gas, None, "zeisberger", REFERENCE_EXCLUSION)
+        fused, closures = mismatch_curve(*args), _closure_mismatch(*args)
+        named = set()
+        for step in range(700):
+            p = 4200.0 + step
+            expected = _outcome(closures, p)
+            assert _outcome(fused, p) == expected
+            if not isinstance(expected, str):
+                named.add(expected[1].split(" nm ")[0].rsplit(" ", 1)[1])
+        # the probe's gas index reaches the wall first, then pump2's, then pump1's;
+        # the error names the first field in scheme order that is past it
+        assert named == {"914", "942", "1550"}
+
+    def test_compressibility_called_once_per_pressure(self, fiber_geom):
+        calls = []
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15, lambda p, t: calls.append((p, t)) or 1.0)
+        curve = mismatch_curve(_SCHEME, T_K, fiber_geom, gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
+        curve(0.0)
+        curve(90.0)
+        assert calls == [(90.0, T_K)]
