@@ -95,6 +95,37 @@ class ResonanceProximityError(ValueError):
     """Wavelength falls inside the guard band around a wall resonance."""
 
 
+def hash_once(cls):
+    """Class decorator for a frozen dataclass: hash the field values once.
+
+    The dataclass hash of the fields is computed on the first hash() call
+    and returned from then on, so a value used as a cache key is hashed in
+    Python once, not on every lookup.  Equality stays by value, and a
+    field holding an unhashable value still fails on the first hash()
+    call, not on construction.  The stored hash is left out of the pickled
+    and copied state: str hashes are salted per process, so a copy
+    computes its own.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
 def bessel_zero(l: int, m: int) -> float:
     """m-th positive zero of the Bessel function J_l.
 
@@ -108,6 +139,7 @@ def bessel_zero(l: int, m: int) -> float:
     return _BESSEL_ZEROS[l][m - 1]
 
 
+@hash_once
 @dataclass(frozen=True)
 class ModeLabel:
     """LP_{l,m} mode label: azimuthal order l >= 0, radial order m >= 1."""
@@ -130,6 +162,7 @@ LP01 = ModeLabel(0, 1)
 LP11 = ModeLabel(1, 1)
 
 
+@hash_once
 @dataclass(frozen=True)
 class WallIndexTable:
     """Wall-glass index from (lambda_nm, n) rows: linear interpolation,
@@ -180,6 +213,7 @@ def _evaluate_wall_index(model: WallIndexModel, wavelength_nm: float) -> float:
     return math.sqrt(1.0 + n2m1)
 
 
+@hash_once
 @dataclass(frozen=True)
 class FiberGeometry:
     """Anti-resonant fiber cross-section.
@@ -217,6 +251,7 @@ class FiberGeometry:
         return _evaluate_wall_index(self.wall_index, wavelength_nm)
 
 
+@hash_once
 @dataclass(frozen=True)
 class GasDispersion:
     """Pressure/temperature-scalable refractive index of the filling gas.
@@ -264,10 +299,12 @@ def gas_index(gas: GasDispersion, wavelength_nm: float, pressure_bar: float, tem
     """Gas refractive index n(lambda, p, T); exactly 1 at p = 0."""
     if wavelength_nm <= 0:
         raise ValueError("wavelength must be positive")
-    if pressure_bar < 0:
+    if not pressure_bar >= 0.0:  # nan included
         raise ValueError("pressure must be non-negative")
     if temperature_k <= 0:
         raise ValueError("temperature must be positive")
+    if not temperature_k < math.inf:
+        raise ValueError(f"temperature must be finite, got {temperature_k!r}")
     if pressure_bar == 0.0:
         # still surfaces pole errors for invalid wavelengths
         gas.reference_refractivity(wavelength_nm)
@@ -367,6 +404,8 @@ def weighted_index_curve(
             raise ValueError("wavelength must be positive")
         if temperature_k <= 0:
             raise ValueError("temperature must be positive")
+        if not temperature_k < math.inf:
+            raise ValueError(f"temperature must be finite, got {temperature_k!r}")
         refractivity = gas.reference_refractivity(wavelength_nm)
         lam_m = wavelength_nm * 1e-9
         j = _BESSEL_ZEROS[mode.l][mode.m - 1]  # ModeLabel checked the orders on construction
@@ -382,7 +421,7 @@ def weighted_index_curve(
     sqrt, tan = math.sqrt, math.tan
 
     def index_sum(pressure_bar: float) -> float:
-        if pressure_bar < 0:
+        if not pressure_bar >= 0.0:  # nan included
             raise ValueError("pressure must be non-negative")
         vacuum = pressure_bar == 0.0
         if not vacuum:

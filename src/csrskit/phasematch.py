@@ -32,8 +32,11 @@ from csrskit.core_model import (
     FiberGeometry,
     GasDispersion,
     LP01,
+    MAX_AZIMUTHAL_ORDER,
+    MAX_RADIAL_ORDER,
     ModeLabel,
     effective_core_index,
+    hash_once,
     weighted_index_curve,
 )
 
@@ -63,6 +66,8 @@ FIELD_NAMES = ("pump1", "pump2", "probe", "signal")
 _SIGNS = {"pump1": +1.0, "pump2": -1.0, "probe": +1.0, "signal": -1.0}
 #: Speed of light in vacuum, exact by the SI definition of the metre.
 _C_M_PER_S = 299_792_458.0
+#: math.inf as a module name: phase_matching_factor checks each table point against it
+_INF = math.inf
 
 
 class InfeasibleSchemeError(ValueError):
@@ -111,6 +116,7 @@ def raman_beat_thz(pump1_nm: float, pump2_nm: float) -> float:
     return _C_M_PER_S * (1.0 / (pump2_nm * 1e-9) - 1.0 / (pump1_nm * 1e-9)) * 1e-12
 
 
+@hash_once
 @dataclass(frozen=True)
 class ConversionScheme:
     """The four vacuum wavelengths of one conversion scheme, in nm.
@@ -220,19 +226,25 @@ def mismatch_curve(
     return _mismatch_curve(scheme, temperature_k, geom, gas, _field_modes(modes), variant, resonance_exclusion_rel)
 
 
-_ALL_LP01 = (LP01,) * len(FIELD_NAMES)
+#: Every supported mode label by its (l, m) orders.  Curve-cache keys name
+#: modes by these int pairs, which hash in C, and map back through this table
+#: instead of building a label on each miss.
+_MODE_LABELS = {
+    (l, m): ModeLabel(l, m) for l in range(MAX_AZIMUTHAL_ORDER + 1) for m in range(1, MAX_RADIAL_ORDER + 1)
+}
+_ALL_LP01 = ((LP01.l, LP01.m),) * len(FIELD_NAMES)
 
 
-def _field_modes(modes: dict[str, ModeLabel] | ModeLabel | None) -> tuple[ModeLabel, ...]:
-    """The mode of each field in FIELD_NAMES order; LP01 where modes gives none."""
+def _field_modes(modes: dict[str, ModeLabel] | ModeLabel | None) -> tuple[tuple[int, int], ...]:
+    """The (l, m) orders of each field's mode in FIELD_NAMES order; LP01 where modes gives none."""
     if modes is None:
         return _ALL_LP01
     if isinstance(modes, ModeLabel):
-        return (modes,) * len(FIELD_NAMES)
+        return ((modes.l, modes.m),) * len(FIELD_NAMES)
     unknown = set(modes) - set(FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown field names in mode overrides: {sorted(unknown)}")
-    return tuple(modes.get(name, LP01) for name in FIELD_NAMES)
+    return tuple((mode.l, mode.m) for mode in (modes.get(name, LP01) for name in FIELD_NAMES))
 
 
 #: Designs whose curves stay cached; a design study works on one at a time.
@@ -245,14 +257,14 @@ def _mismatch_curve(
     temperature_k: float,
     geom: FiberGeometry,
     gas: GasDispersion,
-    field_modes: tuple[ModeLabel, ...],
+    field_modes: tuple[tuple[int, int], ...],
     variant: str,
     resonance_exclusion_rel: float,
 ) -> Callable[[float], float]:
     # each field's index enters with its signed vacuum wavenumber +-2 pi / lambda, in scheme order
     fields = [
-        (_SIGNS[name] * (2.0 * math.pi / (lam * 1e-9)), lam, mode)
-        for (name, lam), mode in zip(scheme.wavelengths_nm().items(), field_modes)
+        (_SIGNS[name] * (2.0 * math.pi / (lam * 1e-9)), lam, _MODE_LABELS[orders])
+        for (name, lam), orders in zip(scheme.wavelengths_nm().items(), field_modes)
     ]
     return weighted_index_curve(geom, gas, fields, temperature_k, variant, resonance_exclusion_rel)
 
@@ -268,13 +280,19 @@ def delta_beta(
     resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
 ) -> float:
     """Phase mismatch of the scheme at one pressure, in rad/m; see mismatch_curve."""
-    return mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)(pressure_bar)
+    # mismatch_curve, inlined: a table calls this once per pressure
+    field_modes = _ALL_LP01 if modes is None else _field_modes(modes)
+    curve = _mismatch_curve(scheme, temperature_k, geom, gas, field_modes, variant, resonance_exclusion_rel)
+    return curve(pressure_bar)
 
 
 def phase_matching_factor(delta_beta_rad_per_m: float, length_m: float) -> float:
-    """sinc^2(delta_beta L / 2) with sinc(x) = sin(x)/x, sinc(0) = 1."""
-    if length_m <= 0:
-        raise ValueError("length must be positive")
+    """sinc^2(delta_beta L / 2) with sinc(x) = sin(x)/x, sinc(0) = 1.
+
+    Raises ValueError unless length_m is finite and positive.
+    """
+    if not 0.0 < length_m < _INF:  # nan included
+        raise ValueError(f"length_m must be finite and positive, got {length_m!r}")
     x = 0.5 * delta_beta_rad_per_m * length_m
     if x == 0.0:
         return 1.0
@@ -503,6 +521,10 @@ def infer_wall_thickness(
     Each trial thickness is a new design, so its mismatch curve is built
     without the curve cache; the phase-matching solve is the one
     optimal_pressure runs, with its default tolerance.
+
+    Raises ValueError, naming the argument and before any solve, unless
+    thickness_bracket_um is finite with 0 < t_lo < t_hi, p_opt_measured_bar
+    is finite and thickness_tol_um is finite and positive.
     """
 
     def p_of_t(t_um: float) -> float:
@@ -513,6 +535,14 @@ def infer_wall_thickness(
         return _bracketed_root(mismatch, p_lo, p_hi, 1e-6, "delta_beta")[0]
 
     t_lo, t_hi = thickness_bracket_um
+    if not 0.0 < t_lo < t_hi < _INF:  # nan included
+        raise ValueError(
+            f"thickness_bracket_um must be finite with 0 < t_lo < t_hi, got {tuple(thickness_bracket_um)!r}"
+        )
+    if not math.isfinite(p_opt_measured_bar):
+        raise ValueError(f"p_opt_measured_bar must be finite, got {p_opt_measured_bar!r}")
+    if not 0.0 < thickness_tol_um < _INF:
+        raise ValueError(f"thickness_tol_um must be finite and positive, got {thickness_tol_um!r}")
     try:
         # optimal_pressure's argument checks, made once for every thickness
         p_lo, p_hi = pressure_bracket

@@ -1,4 +1,10 @@
+import copy
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +30,8 @@ from csrskit.core_model import (
     resonance_wavelengths,
     transmission_window,
 )
-from tests.conftest import H2_COEFFICIENTS, REFERENCE_EXCLUSION
+from csrskit.phasematch import ConversionScheme
+from tests.conftest import H2_COEFFICIENTS, REFERENCE_EXCLUSION, REPO_ROOT
 
 # immutable instance shared by the hypothesis property tests
 _H2 = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15)
@@ -139,6 +146,20 @@ class TestGasIndex:
     def test_pole_raises_domain_error(self, h2_gas):
         with pytest.raises(DispersionDomainError):
             gas_index(h2_gas, 70.0, 1.0, 293.0)
+
+    @pytest.mark.parametrize(
+        "pressure,temperature,message",
+        [
+            (math.nan, 293.0, "pressure must be non-negative"),
+            (-1.0, 293.0, "pressure must be non-negative"),
+            (10.0, math.nan, "temperature must be finite, got nan"),
+            (10.0, math.inf, "temperature must be finite, got inf"),
+            (10.0, 0.0, "temperature must be positive"),
+        ],
+    )
+    def test_non_finite_conditions_rejected(self, h2_gas, pressure, temperature, message):
+        with pytest.raises(ValueError, match=message):
+            gas_index(h2_gas, 914.0, pressure, temperature)
 
     def test_compressibility_halves_density(self):
         gas = GasDispersion("H2", ((2e-4, 5e-3),), 1.0, 273.15, compressibility=lambda p, t: 2.0)
@@ -327,8 +348,14 @@ class TestCoreIndexCurve:
     def test_pressure_checked_per_call(self, fiber_geom, h2_gas):
         curve = core_index_curve(fiber_geom, h2_gas, 1550.0, 293.0)
         assert curve(0.0) == effective_core_index(fiber_geom, h2_gas, 1550.0, 0.0, 293.0)
-        with pytest.raises(ValueError, match="pressure must be non-negative"):
-            curve(-1.0)
+        for pressure in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="pressure must be non-negative"):
+                curve(pressure)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected_at_build(self, fiber_geom, h2_gas, temperature):
+        with pytest.raises(ValueError, match=f"temperature must be finite, got {temperature!r}"):
+            core_index_curve(fiber_geom, h2_gas, 1550.0, temperature)
 
     def test_compressibility_called_only_above_vacuum(self, fiber_geom):
         calls = []
@@ -340,3 +367,111 @@ class TestCoreIndexCurve:
         assert calls == [(40.0, 293.0)]
         ideal = core_index_curve(fiber_geom, _H2, 1550.0, 293.0, variant="marcatili")
         assert half == ideal(20.0)
+
+
+class _CountingWallIndex:
+    """A pure wall-index callable that counts how often it is hashed."""
+
+    def __init__(self):
+        self.hashes = 0
+
+    def __call__(self, wavelength_nm):
+        return 1.444
+
+    def __hash__(self):
+        self.hashes += 1
+        return 1
+
+
+class _UnhashableWallIndex:
+    __hash__ = None
+
+    def __call__(self, wavelength_nm):
+        return 1.444
+
+
+#: one instance of each value class whose hash is computed once
+_VALUES = {
+    "ModeLabel": lambda: ModeLabel(1, 2),
+    "WallIndexTable": lambda: WallIndexTable([(900.0, 1.45), (1600.0, 1.44)]),
+    "FiberGeometry": lambda: FiberGeometry(23.0, 18.3, 1.28, 7, ((0.6961663, 0.0046791), (0.4079426, 0.0135121))),
+    "GasDispersion": lambda: GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15),
+    "ConversionScheme": lambda: ConversionScheme.from_pumps(914.0, 1550.0, 942.0),
+}
+
+#: run in a child process: pickle a hashed GasDispersion, or load one and look it up
+_PICKLE_CHILD = """
+import pickle, sys
+from csrskit.core_model import GasDispersion
+fresh = GasDispersion("H2", ((1e-4, 0.01), (2e-5, 0.02)), 1.01325, 273.15)
+if sys.argv[1] == "dump":
+    hash(fresh)
+    sys.stdout.write(pickle.dumps(fresh).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    assert loaded == fresh and loaded is not fresh
+    assert hash(loaded) == hash(fresh), "the stored hash crossed processes"
+    assert {fresh: "cached"}[loaded] == "cached"
+"""
+
+
+class TestHashOnce:
+    @pytest.mark.parametrize("name", sorted(_VALUES))
+    def test_equal_values_hash_alike(self, name):
+        a, b = _VALUES[name](), _VALUES[name]()
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(a)
+
+    def test_fields_are_hashed_once(self):
+        wall_index = _CountingWallIndex()
+        geom = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index)
+        assert wall_index.hashes == 0  # lazily, on first use
+        first = hash(geom)
+        assert hash(geom) == first and hash(geom) == first
+        assert wall_index.hashes == 1
+
+    def test_callables_hash_by_identity(self):
+        def z(p, t):
+            return 1.0
+
+        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15, z)
+        assert gas == GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15, z)
+        assert gas != GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15, lambda p, t: 1.0)
+
+    def test_unhashable_callable_constructs_and_fails_on_hash(self):
+        geom = FiberGeometry(23.0, 18.3, 1.28, 7, _UnhashableWallIndex())
+        assert geom.wall_refractive_index(914.0) == 1.444
+        for _ in range(2):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(geom)
+
+    def test_replace_gets_a_fresh_hash(self):
+        geom = _VALUES["FiberGeometry"]()
+        hash(geom)
+        thicker = dataclasses.replace(geom, wall_thickness_um=1.29)
+        assert thicker != geom
+        assert hash(thicker) == hash(
+            FiberGeometry(23.0, 18.3, 1.29, 7, ((0.6961663, 0.0046791), (0.4079426, 0.0135121)))
+        )
+
+    @pytest.mark.parametrize("name", sorted(_VALUES))
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))])
+    def test_copies_leave_the_stored_hash_behind(self, name, duplicate):
+        value = _VALUES[name]()
+        hash(value)
+        twin = duplicate(value)
+        assert twin == value
+        assert "_hash" not in vars(twin)
+        assert hash(twin) == hash(value)
+
+    def test_pickled_value_hashes_by_the_loading_process(self):
+        # str hashes are salted per process, so a stored hash must not travel
+        def child(seed, mode, stdin=None):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(REPO_ROOT / "src")}
+            result = subprocess.run(
+                [sys.executable, "-c", _PICKLE_CHILD, mode], input=stdin, capture_output=True, text=True, env=env
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stdout
+
+        child("2", "load", child("1", "dump"))

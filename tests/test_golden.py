@@ -3,7 +3,9 @@
 Every change must leave these CSVs identical, header included, unless it
 says which bytes it changes and why.  The fit CSVs are left out: the
 synthetic data are exact, so their residual norms and standard errors
-(~1e-15) are LAPACK rounding noise that differs between numpy builds.
+(~1e-15) are rounding noise.  Its last digits follow the order of the
+pure-Python sums and the platform's math.exp, so any reordering of the
+fit arithmetic or another libm changes them.
 """
 
 import pytest

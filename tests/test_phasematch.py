@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C_M_PER_S
 
-from csrskit import phasematch
+from csrskit import core_model, phasematch
 from csrskit.config import load_config
 from csrskit.core_model import (
     LP01,
@@ -283,6 +283,11 @@ class TestPhaseMatchingFactor:
         assert phase_matching_factor(db, length) == pytest.approx((2.0 / math.pi) ** 2, rel=1e-12)
         assert phase_matching_factor(db, length) == pytest.approx(0.4053, abs=1e-4)
 
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_length_is_named(self, length):
+        with pytest.raises(ValueError, match=rf"length_m must be finite and positive, got {length!r}"):
+            phase_matching_factor(1.0, length)
+
     @given(db=st.floats(min_value=-1e4, max_value=1e4), length=st.floats(min_value=1e-3, max_value=100.0))
     @settings(max_examples=200, deadline=None)
     def test_bounds(self, db, length):
@@ -461,6 +466,34 @@ class TestInferWallThickness:
                 90.0, reference_scheme, T_K, fiber_geom, h2_gas, self.BRACKET,
                 resonance_exclusion_rel=REFERENCE_EXCLUSION, **overrides,
             )
+
+    @pytest.mark.parametrize(
+        "argument,value,message",
+        [
+            ("thickness_bracket_um", (1.29, 1.27), r"must be finite with 0 < t_lo < t_hi, got \(1\.29, 1\.27\)"),
+            ("thickness_bracket_um", (1.28, 1.28), r"must be finite with 0 < t_lo < t_hi, got \(1\.28, 1\.28\)"),
+            ("thickness_bracket_um", (0.0, 1.29), r"must be finite with 0 < t_lo < t_hi, got \(0\.0, 1\.29\)"),
+            ("thickness_bracket_um", (math.nan, 1.29), r"must be finite with 0 < t_lo < t_hi, got \(nan, 1\.29\)"),
+            ("thickness_bracket_um", (1.26, math.inf), r"must be finite with 0 < t_lo < t_hi, got \(1\.26, inf\)"),
+            ("p_opt_measured_bar", math.nan, r"must be finite, got nan"),
+            ("p_opt_measured_bar", math.inf, r"must be finite, got inf"),
+            ("thickness_tol_um", math.nan, r"must be finite and positive, got nan"),
+            ("thickness_tol_um", math.inf, r"must be finite and positive, got inf"),
+            ("thickness_tol_um", 0.0, r"must be finite and positive, got 0\.0"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_solve(
+        self, fiber_geom, h2_gas, reference_scheme, monkeypatch, argument, value, message
+    ):
+        # each of these used to come back as a "solution": a midpoint or a nan residual
+        monkeypatch.setattr(phasematch, "_bracketed_root", None)  # a solve would fail with a TypeError
+        args = dict(p_opt_measured_bar=90.0, thickness_bracket_um=self.BRACKET, thickness_tol_um=1e-5)
+        args[argument] = value
+        with pytest.raises(ValueError, match=argument + " " + message):
+            infer_wall_thickness(
+                scheme=reference_scheme, temperature_k=T_K, geom=fiber_geom, gas=h2_gas,
+                resonance_exclusion_rel=REFERENCE_EXCLUSION, **args,
+            )  # fmt: skip
 
     def test_unreachable_pressure_raises(self, fiber_geom, h2_gas, reference_scheme):
         with pytest.raises(NoSolutionError):
@@ -684,6 +717,40 @@ class TestMismatchCurve:
         curve = mismatch_curve(reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
         with pytest.raises(ValueError, match="pressure must be non-negative"):
             curve(-1e-3)
+        with pytest.raises(ValueError, match="pressure must be non-negative"):
+            delta_beta(reference_scheme, math.nan, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature_rejected_before_the_solve(self, fiber_geom, h2_gas, reference_scheme, temperature):
+        with pytest.raises(ValueError, match=f"temperature must be finite, got {temperature!r}"):
+            optimal_pressure(
+                reference_scheme, temperature, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION
+            )
+
+    def test_equal_values_share_one_cache_entry(self, h2_gas, reference_scheme):
+        phasematch._mismatch_curve.cache_clear()
+        curves = [
+            mismatch_curve(
+                dataclasses.replace(reference_scheme), T_K, FiberGeometry(23.0, 18.3, 1.28, 7, 1.444),
+                dataclasses.replace(h2_gas), modes, resonance_exclusion_rel=REFERENCE_EXCLUSION,
+            )  # fmt: skip
+            for modes in (None, LP01, ModeLabel(0, 1), {"probe": ModeLabel(0, 1)})
+        ]
+        info = phasematch._mismatch_curve.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+        assert all(curve is curves[0] for curve in curves)
+
+    def test_curve_cache_keys_modes_by_their_orders(self, fiber_geom, h2_gas, reference_scheme, monkeypatch):
+        assert phasematch._field_modes(None) == ((0, 1),) * 4
+        assert phasematch._field_modes({"probe": LP11}) == ((0, 1), (0, 1), (1, 1), (0, 1))
+        phasematch._mismatch_curve.cache_clear()
+        built = []
+        bessel_zero = core_model.bessel_zero
+        monkeypatch.setattr(core_model, "bessel_zero", lambda l, m: built.append((l, m)) or bessel_zero(l, m))
+        args = (reference_scheme, 90.0, T_K, fiber_geom, h2_gas, {"probe": LP11}, "zeisberger", REFERENCE_EXCLUSION)
+        value = delta_beta(*args)
+        assert built == []  # a miss maps the orders to existing labels instead of building new ones
+        assert value.hex() == _reference_delta_beta(*args).hex()
 
     def test_equal_geometry_reuses_the_cached_curve(self, fiber_geom, h2_gas, reference_scheme):
         first = mismatch_curve(reference_scheme, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
@@ -820,8 +887,8 @@ def _closure_mismatch(scheme, temperature_k, geom, gas, modes, variant, exclusio
     """The mismatch curve as a signed sum of four per-field closures, in scheme order."""
     signs = {"pump1": 1.0, "pump2": -1.0, "probe": 1.0, "signal": -1.0}
     terms = []
-    for (name, lam), mode in zip(scheme.wavelengths_nm().items(), phasematch._field_modes(modes)):
-        n_eff = _closure_index_curve(geom, gas, lam, temperature_k, mode, variant, exclusion_rel)
+    for (name, lam), (l, m) in zip(scheme.wavelengths_nm().items(), phasematch._field_modes(modes)):
+        n_eff = _closure_index_curve(geom, gas, lam, temperature_k, ModeLabel(l, m), variant, exclusion_rel)
         terms.append((signs[name] * (2.0 * math.pi / (lam * 1e-9)), n_eff))
 
     def mismatch(pressure_bar):
@@ -872,9 +939,9 @@ class TestFusedMismatchKernel:
         args = (_SCHEME, temperature, geom, gas, modes, variant, exclusion)
         expected = _curve_outcome(lambda: _closure_mismatch(*args), pressure)
         assert _curve_outcome(lambda: mismatch_curve(*args), pressure) == expected
-        field_modes = phasematch._field_modes(modes)
-        for lam, mode in zip(_SCHEME.wavelengths_nm().values(), field_modes):
-            field = (geom, gas, lam, temperature, mode, variant, exclusion)
+        field_orders = phasematch._field_modes(modes)  # the (l, m) pair of each field's mode
+        for lam, (l, m) in zip(_SCHEME.wavelengths_nm().values(), field_orders):
+            field = (geom, gas, lam, temperature, ModeLabel(l, m), variant, exclusion)
             assert _curve_outcome(lambda: core_index_curve(*field), pressure) == _curve_outcome(
                 lambda: _closure_index_curve(*field), pressure
             )
