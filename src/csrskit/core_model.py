@@ -376,27 +376,29 @@ def weighted_index_curve(
 
     fields holds one (weight, wavelength_nm, mode) triple per field; the
     returned function gives sum_i weight_i * n_eff(wavelength_i, mode_i, p),
-    accumulated in field order from 0.0.  Each n_eff follows the formula of
-    core_index_curve.
+    with core_index_curve's n_eff written in q = rho (n^2 - 1)_ref, m = 1 + q
+    = n_gas^2 and s = sqrt(n_wall^2 - m) = n_gas sqrt(eps - 1):
 
-    Everything that does not depend on pressure is checked and computed
-    here, once, field by field in the given order: ResonanceProximityError
-    (the wavelength is within resonance_exclusion_rel of a wall resonance of
-    the geometry), the wavelength, temperature and refractivity-pole checks,
-    the Marcatili term and the wall-term constants.  The returned function
-    checks the pressure and computes the relative gas density once (calling
-    the gas's compressibility, if any, once per pressure above vacuum).  It
-    then evaluates the gas index and the wall term of each field, with the
-    arithmetic in the same order as a direct evaluation; a gas index at or
-    above the wall index raises DispersionDomainError for the first such
-    field.
+        n_eff - 1 = q / (1 + n_gas) - (u^2 / 2 + W (n_wall^2 + m) / (2 s tan(k_t s))) / n_gas
+
+    (u = j lambda / 2 pi r, W = j^2 lambda^3 / 8 pi^3 r^3, k_t = 2 pi t /
+    lambda; "marcatili" drops W).  The weight_i (n_eff_i - 1) are summed in
+    field order and the exact sum of the weights is added last: the vacuum
+    part, which nearly cancels in a mismatch, adds no rounding.  The guard
+    band (ResonanceProximityError; a nan or negative resonance_exclusion_rel
+    is a ValueError), wavelength, temperature and pole checks run here, once
+    per field.  The returned function checks the pressure, computes the gas
+    density once (calling compressibility only above vacuum) and raises
+    DispersionDomainError for the first field at or above the wall index.
     """
     if variant not in INDEX_VARIANTS:
         raise ValueError(f"unknown index variant {variant!r}; expected one of {INDEX_VARIANTS}")
-    marcatili = variant == "marcatili"
+    if not resonance_exclusion_rel >= 0.0:  # nan included
+        raise ValueError(f"resonance_exclusion_rel must be non-negative, got {resonance_exclusion_rel!r}")
     r_m = geom.core_radius_um * 1e-6
     t_m = geom.wall_thickness_um * 1e-6
     terms = []
+    walls = []  # (wavelength_nm, n_wall) per field, for the domain error
     for weight, wavelength_nm, mode in fields:
         n_wall = geom.wall_refractive_index(wavelength_nm)
         _check_resonance_proximity(wavelength_nm, geom.wall_thickness_um, n_wall, resonance_exclusion_rel)
@@ -412,42 +414,54 @@ def weighted_index_curve(
         u = j * lam_m / (_TWO_PI * r_m)
         phase_coefficient = _TWO_PI * t_m / lam_m
         wall_prefactor = j**2 * lam_m**3 / (_EIGHT_PI_CUBED * r_m**3)
-        terms.append(
-            (weight, refractivity, 0.5 * u * u, n_wall, n_wall**2, phase_coefficient, wall_prefactor, wavelength_nm)
-        )
-    reference_pressure = gas.reference_pressure_bar
-    temperature_ratio = gas.reference_temperature_k / temperature_k
+        terms.append((weight, refractivity, 0.5 * u * u, n_wall**2, phase_coefficient, 0.5 * wall_prefactor))
+        walls.append((wavelength_nm, n_wall))
+    density_per_bar = gas.reference_temperature_k / temperature_k / gas.reference_pressure_bar
     compressibility = gas.compressibility
+    weight_sum = math.fsum(term[0] for term in terms)
     sqrt, tan = math.sqrt, math.tan
 
-    def index_sum(pressure_bar: float) -> float:
+    # the two variants repeat the density lines: a shared helper costs a call per evaluation
+    def marcatili_sum(pressure_bar: float) -> float:
         if not pressure_bar >= 0.0:  # nan included
             raise ValueError("pressure must be non-negative")
-        vacuum = pressure_bar == 0.0
-        if not vacuum:
-            # gas_index and GasDispersion.relative_density, inlined
-            rho = (pressure_bar / reference_pressure) * temperature_ratio
-            if compressibility is not None:
-                rho = rho / compressibility(pressure_bar, temperature_k)
+        rho = pressure_bar * density_per_bar
+        if compressibility is not None and pressure_bar > 0.0:
+            rho = rho / compressibility(pressure_bar, temperature_k)
         total = 0.0
-        for weight, refractivity, half_u2, n_wall, n_wall2, phase_coefficient, wall_prefactor, wavelength_nm in terms:
-            n_g = 1.0 if vacuum else sqrt(1.0 + rho * refractivity)
-            n_eff = n_g - half_u2 / n_g
-            if not marcatili:
-                eps = (n_wall / n_g) ** 2
-                try:
-                    phi = phase_coefficient * sqrt(n_wall2 - n_g**2)
-                    polarization_factor = (eps + 1.0) / (2.0 * sqrt(eps - 1.0))
-                    n_eff = n_eff - wall_prefactor * polarization_factor / tan(phi)
-                except (ValueError, ZeroDivisionError):  # n_g at or above n_wall
+        for weight, refractivity, half_u2, _, _, _ in terms:
+            q = rho * refractivity
+            n_gas = sqrt(1.0 + q)
+            total += weight * (q / (1.0 + n_gas) - half_u2 / n_gas)
+        return total + weight_sum
+
+    def zeisberger_sum(pressure_bar: float) -> float:
+        if not pressure_bar >= 0.0:  # nan included
+            raise ValueError("pressure must be non-negative")
+        rho = pressure_bar * density_per_bar
+        if compressibility is not None and pressure_bar > 0.0:
+            rho = rho / compressibility(pressure_bar, temperature_k)
+        total = 0.0
+        try:
+            for weight, refractivity, half_u2, n_wall2, phase_coefficient, half_prefactor in terms:
+                q = rho * refractivity
+                m = 1.0 + q
+                s = sqrt(n_wall2 - m)
+                wall = half_prefactor * (n_wall2 + m) / (s * tan(phase_coefficient * s))
+                n_gas = sqrt(m)
+                total += weight * (q / (1.0 + n_gas) - (half_u2 + wall) / n_gas)
+        except (ValueError, ZeroDivisionError):  # s is imaginary or 0 for some field
+            for (_, refractivity, _, n_wall2, _, _), (wavelength_nm, n_wall) in zip(terms, walls):
+                m = 1.0 + rho * refractivity
+                if not n_wall2 - m > 0.0:
                     raise DispersionDomainError(
-                        f"at {pressure_bar:g} bar the gas index {n_g:.6g} at {wavelength_nm:g} nm reaches the "
+                        f"at {pressure_bar:g} bar the gas index {sqrt(m):.6g} at {wavelength_nm:g} nm reaches the "
                         f"wall index {n_wall:.6g}; the wall model needs the gas index below the wall index"
                     ) from None
-            total += weight * n_eff
-        return total
+            raise
+        return total + weight_sum
 
-    return index_sum
+    return marcatili_sum if variant == "marcatili" else zeisberger_sum
 
 
 def core_index_curve(

@@ -322,40 +322,57 @@ class ThicknessSolution:
     iterations: int
 
 
-def _bracketed_root(f, lo: float, hi: float, ftol: float, what: str, max_iter: int = 200):
-    """Bisection with secant acceleration; terminates on |f| < ftol or
-    when the bracket has shrunk to a few ulps.
+def _illinois(
+    f, a: float, b: float, fa: float, fb: float, xtol: float, ftol: float, what: str, unit: str, max_iter: int = 200
+):
+    """Root of f in [a, b] by the Illinois method (Dowell & Jarratt, BIT 11, 168 (1971)).
 
-    Requires a strict sign change over [lo, hi].  Every step stays inside
-    a shrinking bracket, but a one-sided secant can creep; a search still
-    open after max_iter steps raises NoConvergenceError.
+    fa = f(a) and fb = f(b), which the caller has, differ in sign (one may
+    be 0).  Each iteration evaluates f once, at the secant point (or the
+    midpoint, when that is not strictly inside), and keeps the sign change;
+    an end kept twice in a row has its secant value halved.  Stops when
+    |f(x)| < ftol or f(x) = 0, collapsing the bracket to x, or when the
+    bracket is at most xtol wide, and returns (x, f(x), a, b, iterations).
+    Raises NoConvergenceError after max_iter iterations.
     """
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if not (f_lo * f_hi < 0.0):
-        raise NoRootError(f"no sign change of {what} over the bracket", lo, hi, f_lo, f_hi)
-    a, b, fa, fb = lo, hi, f_lo, f_hi
+    negative_at_a = fa < 0.0
+    moved = None  # the end the last iteration moved, "a" or "b"
     x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
-    for iteration in range(1, max_iter + 1):
-        mid = 0.5 * (a + b)
-        x = mid
-        if fb != fa:
-            secant = b - fb * (b - a) / (fb - fa)
-            if a < secant < b:
-                x = secant
+    iterations = 0
+    while b - a > xtol:
+        if iterations == max_iter:
+            raise NoConvergenceError(
+                f"{what} not converged after {max_iter} iterations: bracket [{a:.17g}, {b:.17g}] {unit}, "
+                f"f({x:.17g}) = {fx:.3g} (tolerance {ftol:g})"
+            )
+        iterations += 1
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
         fx = f(x)
-        if abs(fx) < ftol:
-            return x, fx, iteration
-        if fa * fx < 0.0:
-            b, fb = x, fx
-        else:
+        if abs(fx) < ftol or fx == 0.0:
+            return x, fx, x, x, iterations
+        if (fx < 0.0) == negative_at_a:
             a, fa = x, fx
-        if b - a <= max(1e-15, 1e-14 * max(abs(a), abs(b))):
-            return x, fx, iteration
-    raise NoConvergenceError(
-        f"{what} not converged after {max_iter} iterations: bracket [{a:.17g}, {b:.17g}], "
-        f"f({x:.17g}) = {fx:g} (tolerance {ftol:g})"
-    )
+            if moved == "a":
+                fb *= 0.5
+            moved = "a"
+        else:
+            b, fb = x, fx
+            if moved == "b":
+                fa *= 0.5
+            moved = "b"
+    return x, fx, a, b, iterations
+
+
+def _pressure_root(mismatch, p_lo: float, p_hi: float, ftol: float) -> PressureSolution:
+    """Root of mismatch in [p_lo, p_hi] to |mismatch| < ftol or a few ulps; NoRootError without a sign change."""
+    f_lo, f_hi = mismatch(p_lo), mismatch(p_hi)
+    if not f_lo * f_hi < 0.0:
+        raise NoRootError("no sign change of delta_beta over the bracket", p_lo, p_hi, f_lo, f_hi)
+    xtol = max(1e-15, 1e-14 * p_hi)  # a few ulps
+    root, residual, _, _, iterations = _illinois(mismatch, p_lo, p_hi, f_lo, f_hi, xtol, ftol, "delta_beta", "bar")
+    return PressureSolution(pressure_bar=root, residual_rad_per_m=residual, iterations=iterations)
 
 
 def optimal_pressure(
@@ -371,17 +388,20 @@ def optimal_pressure(
 ) -> PressureSolution:
     """Pressure at which the scheme phase-matches (delta_beta = 0).
 
-    The mismatch must change sign over the bracket, otherwise
-    NoRootError carries the sampled endpoint values.  The root is
-    polished until |delta_beta| < ftol_rad_per_m; a search that does not
-    get there raises NoConvergenceError.
+    NoRootError, with the end values, unless the mismatch changes sign over
+    the bracket.  The Illinois method polishes the root to |delta_beta| <
+    ftol_rad_per_m (or a bracket a few ulps wide), or raises
+    NoConvergenceError; iterations counts the evaluations after the two at
+    the ends.  ValueError, naming the argument, unless the bracket is finite
+    with 0 <= p_lo < p_hi and ftol_rad_per_m is finite and positive.
     """
     p_lo, p_hi = bracket
-    if not (0.0 <= p_lo < p_hi):
-        raise ValueError("bracket must satisfy 0 <= p_lo < p_hi")
+    if not 0.0 <= p_lo < p_hi < _INF:  # nan included
+        raise ValueError(f"bracket must satisfy 0 <= p_lo < p_hi and be finite, got {tuple(bracket)!r}")
+    if not 0.0 < ftol_rad_per_m < _INF:
+        raise ValueError(f"ftol_rad_per_m must be finite and positive, got {ftol_rad_per_m!r}")
     mismatch = mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
-    root, residual, iterations = _bracketed_root(mismatch, p_lo, p_hi, ftol_rad_per_m, "delta_beta")
-    return PressureSolution(pressure_bar=root, residual_rad_per_m=residual, iterations=iterations)
+    return _pressure_root(mismatch, p_lo, p_hi, ftol_rad_per_m)
 
 
 def pressure_acceptance(
@@ -400,35 +420,28 @@ def pressure_acceptance(
     """Full pressure width over which sinc^2(delta_beta L / 2) >= 1/2.
 
     Each side is searched on the grid p_k = p_opt_bar + (limit - p_opt_bar)
-    k / scan_steps, k = 1 .. scan_steps, toward its scan limit.  The first
-    grid index k* where the factor drops below 1/2 is found by galloping
-    (k = 1, 2, 4, ..., capped at scan_steps) and then bisecting over the
-    integers between the last index still at or above 1/2 and the first
-    below it; the edge is then bisected on [p_(k*-1), p_k*] (p_0 =
-    p_opt_bar) to 1e-6 bar.  No pressure beyond the scan limits is
-    evaluated: where rounding would carry p_scan_steps past its limit, the
-    limit is used.  A side that never drops below half maximum on the grid
-    is reported as unbounded (width_bar = inf, bounded = False); when the
-    factor at p_opt_bar is already below 1/2, both edges are p_opt_bar.
+    k / scan_steps, k = 1 .. scan_steps, held inside its scan limit: the first
+    index k* where the factor is below 1/2 is found by galloping (k = 1, 2,
+    4, ...) and bisecting over the integers, and the edge is the midpoint of
+    a bracket at most 1e-6 bar wide around the root of factor - 1/2 on
+    [p_(k*-1), p_k*] (p_0 = p_opt_bar), found by the Illinois method from the
+    two grid values in hand.  A side that stays at or above 1/2 is unbounded
+    (width_bar = inf, bounded = False); when the factor at p_opt_bar is
+    already below 1/2, both edges are p_opt_bar.
 
-    The search premises that the factor, once below 1/2 along a side,
-    stays below it out to the scan limit.  That holds when delta_beta is
-    monotone in pressure, as the gas-dominated mismatch of this model is:
-    sinc^2 never climbs back to 1/2 past its first half-maximum point, so
-    the pressures where the factor is >= 1/2 form one interval around
-    p_opt_bar.  Under that premise the edges equal, bit for bit, those of a
-    walk over every grid point; a mismatch that fell back inside the band
-    past the first crossing could make the search settle on a later one.
-    The search evaluates up to about twice as far from p_opt_bar as the
-    first crossing, so an error raised out there (a DispersionDomainError
-    at an extreme limit, say) can surface where a walk would have stopped.
+    The search premises that the factor, once below 1/2 along a side, stays
+    below it out to the scan limit, as it does for this model's mismatch,
+    monotone in pressure; it then brackets the first crossing a walk over
+    every grid point would find.  It evaluates up to about twice as far out
+    as that crossing, so an error there (a DispersionDomainError at an
+    extreme limit, say) can surface where a walk would have stopped.
 
-    Raises ValueError, naming the argument, unless scan_steps is an
-    integer >= 1, length_m is finite and positive, and p_opt_bar and both
-    scan limits are finite with 0 <= scan_limits[0] <= p_opt_bar <=
+    Raises ValueError, naming the argument, unless scan_steps is an integer
+    (not a bool) >= 1, length_m is finite and positive, and p_opt_bar and
+    both scan limits are finite with 0 <= scan_limits[0] <= p_opt_bar <=
     scan_limits[1].
     """
-    if not isinstance(scan_steps, int) or scan_steps < 1:
+    if isinstance(scan_steps, bool) or not isinstance(scan_steps, int) or scan_steps < 1:
         raise ValueError(f"scan_steps must be an integer >= 1, got {scan_steps!r}")
     if not (math.isfinite(length_m) and length_m > 0.0):
         raise ValueError(f"length_m must be finite and positive, got {length_m!r}")
@@ -444,38 +457,34 @@ def pressure_acceptance(
         )
     mismatch = mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
 
-    def factor(p: float) -> float:
-        return phase_matching_factor(mismatch(p), length_m)
+    def excess(p: float) -> float:
+        return phase_matching_factor(mismatch(p), length_m) - 0.5
+
+    at_optimum = excess(p_opt_bar)
 
     def crossing(toward: float) -> float | None:
-        # first pressure where the factor falls below 1/2, refined by bisection
+        # first pressure where the factor falls below 1/2
         def grid(k: int) -> float:
             # grid(0) is p_opt_bar; rounding can carry grid(scan_steps) past the limit
             p = p_opt_bar + (toward - p_opt_bar) * k / scan_steps
             return max(p, toward) if toward < p_opt_bar else min(p, toward)
 
-        if factor(p_opt_bar) < 0.5:  # p_opt is not a valid maximum for this length
+        if at_optimum < 0.0:  # p_opt is not a valid maximum for this length
             return p_opt_bar
-        inside, k = 0, 1  # the factor is >= 1/2 at grid(inside)
-        while factor(grid(k)) >= 0.5:
+        inside, k, f_inside = 0, 1, at_optimum  # the factor is >= 1/2 at grid(inside)
+        while (f_k := excess(grid(k))) >= 0.0:
             if k == scan_steps:
                 return None
-            inside, k = k, min(2 * k, scan_steps)
+            inside, k, f_inside = k, min(2 * k, scan_steps), f_k
         while k - inside > 1:  # the first index below 1/2 lies in (inside, k]
             mid = (inside + k) // 2
-            if factor(grid(mid)) >= 0.5:
-                inside = mid
+            f_mid = excess(grid(mid))
+            if f_mid >= 0.0:
+                inside, f_inside = mid, f_mid
             else:
-                k = mid
-        a, b = grid(k - 1), grid(k)
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if factor(mid) >= 0.5:
-                a = mid
-            else:
-                b = mid
-            if abs(b - a) < 1e-6:
-                break
+                k, f_k = mid, f_mid
+        (a, fa), (b, fb) = sorted([(grid(inside), f_inside), (grid(k), f_k)])
+        _, _, a, b, _ = _illinois(excess, a, b, fa, fb, 1e-6, 0.0, "acceptance edge", "bar")
         return 0.5 * (a + b)
 
     lower = crossing(p_min)
@@ -485,10 +494,7 @@ def pressure_acceptance(
     return AcceptanceWidth(lower_bar=lower, upper_bar=upper, width_bar=width, bounded=bounded)
 
 
-#: Iteration cap of the wall-thickness search.  The Illinois steps move both
-#: ends; on seeded designs near the shipped one they took ~6 iterations on
-#: average and at most 9 (plain false position: ~22 and up to 4868), so the
-#: cap only bounds run time.
+#: Iteration cap of the wall-thickness search, which takes ~6 near the shipped design.
 _MAX_THICKNESS_ITERATIONS = 100
 
 
@@ -505,34 +511,36 @@ def infer_wall_thickness(
     variant: str = "zeisberger",
     resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
 ) -> ThicknessSolution:
-    """Capillary wall thickness that reproduces a measured optimal pressure.
+    """Capillary wall thickness that reproduces a measured optimal pressure p_m.
 
-    The wall thickness of geom is treated as unknown and swept inside
-    thickness_bracket_um by an outer bracketing root find on
-    p_opt(t) - p_opt_measured: false position with the Illinois step (an
-    end kept twice in a row has its value halved), falling back to
-    bisection when the secant leaves the bracket, until the bracket is
-    narrower than thickness_tol_um.  The solution reports the number of
-    these outer iterations.  Requires the phase-matching solve to
-    succeed at both bracket ends; resonance-proximity or no-root
-    failures there surface as NoSolutionError with diagnostics, as does
-    a search that is still open after its iteration cap.
+    The thickness t of geom is the root of t -> delta_beta(p_m; t) in
+    thickness_bracket_um, by the Illinois method to a bracket at most
+    thickness_tol_um wide, whose midpoint t* is returned with the number of
+    iterations (one uncached curve build and one evaluation each) and
+    pressure_residual_bar = p_opt(t*) - p_m, p_opt solved over
+    pressure_bracket as optimal_pressure does by default.  This premises
+    that delta_beta rises monotonically with pressure, as this model's
+    mismatch does: then p_opt(t) = p_m exactly where delta_beta(p_m; t) = 0.
 
-    Each trial thickness is a new design, so its mismatch curve is built
-    without the curve cache; the phase-matching solve is the one
-    optimal_pressure runs, with its default tolerance.
-
-    Raises ValueError, naming the argument and before any solve, unless
+    When p_m lies outside pressure_bracket or delta_beta(p_m; t) does not
+    change sign over the thickness bracket, p_opt is solved at both ends and
+    NoSolutionError reports the two pressures or the error of that solve, as
+    it reports a failure at a bracket end or the iteration cap running out;
+    a ResonanceProximityError inside the bracket propagates.  Raises
+    ValueError, naming the argument and before any solve, unless
     thickness_bracket_um is finite with 0 < t_lo < t_hi, p_opt_measured_bar
-    is finite and thickness_tol_um is finite and positive.
+    is finite, thickness_tol_um is finite and positive and both
+    pressure_bracket ends are finite.
     """
 
-    def p_of_t(t_um: float) -> float:
+    def mismatch(t_um: float):
         geom_t = replace(geom, wall_thickness_um=t_um)
-        mismatch = _mismatch_curve.__wrapped__(
+        return _mismatch_curve.__wrapped__(
             scheme, temperature_k, geom_t, gas, field_modes, variant, resonance_exclusion_rel
         )
-        return _bracketed_root(mismatch, p_lo, p_hi, 1e-6, "delta_beta")[0]
+
+    def p_opt(t_um: float) -> float:
+        return _pressure_root(mismatch(t_um), p_lo, p_hi, 1e-6).pressure_bar
 
     t_lo, t_hi = thickness_bracket_um
     if not 0.0 < t_lo < t_hi < _INF:  # nan included
@@ -543,55 +551,33 @@ def infer_wall_thickness(
         raise ValueError(f"p_opt_measured_bar must be finite, got {p_opt_measured_bar!r}")
     if not 0.0 < thickness_tol_um < _INF:
         raise ValueError(f"thickness_tol_um must be finite and positive, got {thickness_tol_um!r}")
+    p_lo, p_hi = pressure_bracket
+    if not (math.isfinite(p_lo) and math.isfinite(p_hi)):
+        raise ValueError(f"pressure_bracket must be finite, got {tuple(pressure_bracket)!r}")
     try:
         # optimal_pressure's argument checks, made once for every thickness
-        p_lo, p_hi = pressure_bracket
         if not (0.0 <= p_lo < p_hi):
             raise ValueError("bracket must satisfy 0 <= p_lo < p_hi")
         field_modes = _field_modes(modes)
-        g_lo = p_of_t(t_lo) - p_opt_measured_bar
-        g_hi = p_of_t(t_hi) - p_opt_measured_bar
+        d_lo = d_hi = 0.0
+        if p_lo <= p_opt_measured_bar <= p_hi:
+            d_lo, d_hi = mismatch(t_lo)(p_opt_measured_bar), mismatch(t_hi)(p_opt_measured_bar)
+        if not d_lo * d_hi < 0.0:  # only for the diagnostics
+            p_at_lo, p_at_hi = p_opt(t_lo), p_opt(t_hi)
     except Exception as exc:
         raise NoSolutionError(f"optimal_pressure failed at a thickness bracket endpoint: {exc}") from exc
-    if g_lo * g_hi >= 0.0:
+    if not d_lo * d_hi < 0.0:
         raise NoSolutionError(
             f"measured pressure {p_opt_measured_bar:g} bar is not bracketed: "
-            f"p_opt({t_lo:g} um) = {g_lo + p_opt_measured_bar:.3f} bar, "
-            f"p_opt({t_hi:g} um) = {g_hi + p_opt_measured_bar:.3f} bar"
+            f"p_opt({t_lo:g} um) = {p_at_lo:.3f} bar, p_opt({t_hi:g} um) = {p_at_hi:.3f} bar"
         )
-
-    a, b, ga, gb = t_lo, t_hi, g_lo, g_hi
-    # Illinois: the secant takes the ends' values sa, sb, and an end kept a
-    # second time in a row enters it with half its value, so that end moves too
-    sa, sb = ga, gb
-    kept = None  # the bracket end the last step kept, "a" or "b"
-    iterations = 0
-    while b - a > thickness_tol_um:
-        if iterations == _MAX_THICKNESS_ITERATIONS:
-            raise NoSolutionError(
-                f"wall thickness not converged after {iterations} iterations: bracket "
-                f"[{a:.9g}, {b:.9g}] um, p_opt - measured = {ga:.3g}, {gb:.3g} bar"
-            )
-        iterations += 1
-        mid = 0.5 * (a + b)
-        if sb != sa:
-            secant = b - sb * (b - a) / (sb - sa)
-            if a < secant < b:
-                mid = secant
-        gm = p_of_t(mid) - p_opt_measured_bar
-        if ga * gm < 0.0:
-            b, gb, sb = mid, gm, gm
-            if kept == "a":
-                sa *= 0.5
-            kept = "a"
-        else:
-            a, ga, sa = mid, gm, gm
-            if kept == "b":
-                sb *= 0.5
-            kept = "b"
-        if gm == 0.0:
-            a = b = mid
-            ga = gb = gm
+    try:
+        _, _, a, b, iterations = _illinois(
+            lambda t_um: mismatch(t_um)(p_opt_measured_bar), t_lo, t_hi, d_lo, d_hi, thickness_tol_um, 0.0,
+            "wall thickness", "um", max_iter=_MAX_THICKNESS_ITERATIONS,
+        )  # fmt: skip
+    except NoConvergenceError as exc:
+        raise NoSolutionError(str(exc)) from exc
     t_star = 0.5 * (a + b)
-    residual = p_of_t(t_star) - p_opt_measured_bar
+    residual = p_opt(t_star) - p_opt_measured_bar
     return ThicknessSolution(thickness_um=t_star, pressure_residual_bar=residual, iterations=iterations)

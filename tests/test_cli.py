@@ -399,8 +399,8 @@ class TestGlobalBehavior:
         assert not (tmp_path / "out").exists()
 
     def test_non_convergence_exits_3(self, tmp_path, capsys, monkeypatch):
-        root = phasematch._bracketed_root
-        monkeypatch.setattr(phasematch, "_bracketed_root", lambda *args: root(*args, max_iter=1))
+        root = phasematch._illinois
+        monkeypatch.setattr(phasematch, "_illinois", lambda *args: root(*args, max_iter=1))
         assert run("--config", SHIPPED, "--out", str(tmp_path), "phase-match") == 3
         assert "error: delta_beta not converged after 1 iterations" in capsys.readouterr().err
         assert not (tmp_path / "phase_match.csv").exists()
