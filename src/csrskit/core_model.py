@@ -400,10 +400,10 @@ def weighted_index_curve(
     terms = []
     walls = []  # (wavelength_nm, n_wall) per field, for the domain error
     for weight, wavelength_nm, mode in fields:
+        if not 0.0 < wavelength_nm < math.inf:  # nan included; the guard band divides by it
+            raise ValueError(f"wavelength must be positive and finite, got {wavelength_nm!r}")
         n_wall = geom.wall_refractive_index(wavelength_nm)
         _check_resonance_proximity(wavelength_nm, geom.wall_thickness_um, n_wall, resonance_exclusion_rel)
-        if wavelength_nm <= 0:
-            raise ValueError("wavelength must be positive")
         if temperature_k <= 0:
             raise ValueError("temperature must be positive")
         if not temperature_k < math.inf:

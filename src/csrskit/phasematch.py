@@ -68,6 +68,8 @@ _SIGNS = {"pump1": +1.0, "pump2": -1.0, "probe": +1.0, "signal": -1.0}
 _C_M_PER_S = 299_792_458.0
 #: math.inf as a module name: phase_matching_factor checks each table point against it
 _INF = math.inf
+#: The first positive root of sinc^2(x) = 1/2.
+_X_HALF = 1.3915573782515103
 
 
 class InfeasibleSchemeError(ValueError):
@@ -420,20 +422,27 @@ def pressure_acceptance(
     """Full pressure width over which sinc^2(delta_beta L / 2) >= 1/2.
 
     Each side is searched on the grid p_k = p_opt_bar + (limit - p_opt_bar)
-    k / scan_steps, k = 1 .. scan_steps, held inside its scan limit: the first
-    index k* where the factor is below 1/2 is found by galloping (k = 1, 2,
-    4, ...) and bisecting over the integers, and the edge is the midpoint of
+    k / scan_steps, k = 1 .. scan_steps, held inside its scan limit, for the
+    first index k* where the factor is below 1/2.  delta_beta is nearly affine
+    in p, so after the first side's p_1 each probe goes where the secant
+    through the last two probes (p_0 = p_opt_bar the last at each side's
+    start) reaches +-2 x_half / L, where sinc^2 = 1/2, held strictly inside
+    the integer bracket (interpolation search: Perl, Itai & Avni, CACM 21,
+    550 (1978)).  A predicted probe that neither halves the bracket nor,
+    while no index below 1/2 is known, doubles its inner end is followed by a
+    bisection probe (a doubling one while no index below 1/2 is known), so a
+    poor secant costs evaluations, not accuracy.  The edge is the midpoint of
     a bracket at most 1e-6 bar wide around the root of factor - 1/2 on
-    [p_(k*-1), p_k*] (p_0 = p_opt_bar), found by the Illinois method from the
-    two grid values in hand.  A side that stays at or above 1/2 is unbounded
+    [p_(k*-1), p_k*], found by the Illinois method from the two grid values
+    in hand.  A side at or above 1/2 at its scan limit is unbounded
     (width_bar = inf, bounded = False); when the factor at p_opt_bar is
     already below 1/2, both edges are p_opt_bar.
 
     The search premises that the factor, once below 1/2 along a side, stays
     below it out to the scan limit, as it does for this model's mismatch,
     monotone in pressure; it then brackets the first crossing a walk over
-    every grid point would find.  It evaluates up to about twice as far out
-    as that crossing, so an error there (a DispersionDomainError at an
+    every grid point would find.  A probe can land anywhere out to the scan
+    limit, so an error beyond the crossing (a DispersionDomainError at an
     extreme limit, say) can surface where a walk would have stopped.
 
     Raises ValueError, naming the argument, unless scan_steps is an integer
@@ -460,7 +469,10 @@ def pressure_acceptance(
     def excess(p: float) -> float:
         return phase_matching_factor(mismatch(p), length_m) - 0.5
 
-    at_optimum = excess(p_opt_bar)
+    d_opt = mismatch(p_opt_bar)
+    at_optimum = phase_matching_factor(d_opt, length_m) - 0.5
+    half_width = 2.0 * _X_HALF / length_m  # the |delta_beta| where the factor is 1/2
+    probes = [(p_opt_bar, d_opt)]  # (p, delta_beta) of the search so far; the last two give the secant
 
     def crossing(toward: float) -> float | None:
         # first pressure where the factor falls below 1/2
@@ -471,18 +483,36 @@ def pressure_acceptance(
 
         if at_optimum < 0.0:  # p_opt is not a valid maximum for this length
             return p_opt_bar
-        inside, k, f_inside = 0, 1, at_optimum  # the factor is >= 1/2 at grid(inside)
-        while (f_k := excess(grid(k))) >= 0.0:
-            if k == scan_steps:
-                return None
-            inside, k, f_inside = k, min(2 * k, scan_steps), f_k
-        while k - inside > 1:  # the first index below 1/2 lies in (inside, k]
-            mid = (inside + k) // 2
-            f_mid = excess(grid(mid))
-            if f_mid >= 0.0:
-                inside, f_inside = mid, f_mid
+        if toward == p_opt_bar:  # every grid point is p_opt_bar
+            return None
+        probes.append((p_opt_bar, d_opt))  # this side's secant runs through p_opt and the last probe
+        inside, f_inside, k, f_k = 0, at_optimum, scan_steps + 1, None  # factor >= 1/2 at inside, < 1/2 at k
+        bisect = False
+        while k - inside > 1:
+            (p_a, d_a), (p_b, d_b) = probes[-2:]
+            predict = not bisect and d_a != d_b
+            if predict:  # the index where the delta_beta secant reaches +-half_width
+                target = math.copysign(half_width, (d_b - d_a) * (p_b - p_a) * (toward - p_opt_bar))
+                p_cross = p_b + (target - d_b) * (p_b - p_a) / (d_b - d_a)
+                r = (p_cross - p_opt_bar) / (toward - p_opt_bar) * scan_steps
+                j = math.ceil(min(k - 1, max(inside + 1, r)))  # in this order a nan r gives inside + 1
+            elif f_k is None:  # the gallop's doubling probe
+                j = min(2 * inside, scan_steps) or 1
             else:
-                k, f_k = mid, f_mid
+                j = (inside + k) // 2
+            p = grid(j)
+            d = mismatch(p)
+            f = phase_matching_factor(d, length_m) - 0.5
+            probes.append((p, d))
+            width, doubled = k - inside, 2 * inside
+            if f >= 0.0:
+                inside, f_inside = j, f
+            else:
+                k, f_k = j, f
+            # a predicted probe that neither halves the bracket nor (with no k known) doubles inside
+            bisect = predict and 2 * (k - inside) > width and (f_k is not None or inside < doubled)
+        if f_k is None:  # the factor is >= 1/2 at the scan limit
+            return None
         (a, fa), (b, fb) = sorted([(grid(inside), f_inside), (grid(k), f_k)])
         _, _, a, b, _ = _illinois(excess, a, b, fa, fb, 1e-6, 0.0, "acceptance edge", "bar")
         return 0.5 * (a + b)

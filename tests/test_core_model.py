@@ -352,6 +352,15 @@ class TestCoreIndexCurve:
             with pytest.raises(ValueError, match="pressure must be non-negative"):
                 curve(pressure)
 
+    @pytest.mark.parametrize("wavelength", [0.0, -0.0, -914.0, math.nan, math.inf])
+    def test_wavelength_must_be_positive_and_finite(self, fiber_geom, h2_gas, wavelength):
+        # checked before the guard band, which divides by the wavelength
+        message = f"wavelength must be positive and finite, got {wavelength!r}"
+        with pytest.raises(ValueError, match=message):
+            core_index_curve(fiber_geom, h2_gas, wavelength, 293.0)
+        with pytest.raises(ValueError, match=message):
+            effective_core_index(fiber_geom, h2_gas, wavelength, 80.0, 293.0)
+
     @pytest.mark.parametrize("temperature", [math.nan, math.inf])
     def test_non_finite_temperature_rejected_at_build(self, fiber_geom, h2_gas, temperature):
         with pytest.raises(ValueError, match=f"temperature must be finite, got {temperature!r}"):

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csrskit.efficiency import EfficiencyModel, LightField, predicted_efficiency
@@ -384,11 +385,34 @@ def _cutback_series(draw):
     return DataSeries(x, y, sigma=sigma)
 
 
+def _exact_line_fit(series):
+    """Weighted least-squares line in exact rational arithmetic, from the fit's own float
+    weights: (slope, intercept), their standard errors, and the residual norm."""
+    x, y, w = ([Fraction(v) for v in values] for values in (series.x, series.y, series.weights))
+    sw, swx, swy = sum(w), sum(wi * xi for wi, xi in zip(w, x)), sum(wi * yi for wi, yi in zip(w, y))
+    swxx = sum(wi * xi * xi for wi, xi in zip(w, x))
+    swxy = sum(wi * xi * yi for wi, xi, yi in zip(w, x, y))
+    det = sw * swxx - swx * swx
+    slope, intercept = (sw * swxy - swx * swy) / det, (swxx * swy - swx * swxy) / det
+    wrss = sum(wi * (yi - slope * xi - intercept) ** 2 for wi, xi, yi in zip(w, x, y))
+    scale = wrss / (len(x) - 2)
+    errors = [math.sqrt(sw / det * scale), math.sqrt(swxx / det * scale)]
+    return [float(slope), float(intercept)], errors, math.sqrt(wrss)
+
+
 @given(series=_cutback_series())
 @settings(max_examples=200, deadline=None)
-def test_cutback_matches_numpy_least_squares(series):
-    x, y, w = _arrays(series)
-    params, errors, norm = _numpy_normal_fit(np.column_stack([x, np.ones_like(x)]), y, w)
+# an exact line, y = x, with one sigma of 0.01: the fit's residual norm is 0, which a
+# floating-point reference misses by more than the 1e-12 bound
+@example(
+    series=DataSeries(
+        x=[0.0] * 8 + [7.0] + [0.0] * 5 + [1.0, 0.75, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+        y=[0.0] * 8 + [7.0] + [0.0] * 5 + [1.0, 0.75, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+        sigma=[1.0] * 8 + [0.01] + [1.0] * 6 + [0.5] + [1.0] * 7 + [0.75, 1.0, 1.0, 1.0],
+    )
+)
+def test_cutback_matches_exact_least_squares(series):
+    params, errors, norm = _exact_line_fit(series)
     res = fit_cutback(series)
     got = [-res.parameters["alpha_db_per_m"], res.parameters["intercept_db"]]
     np.testing.assert_allclose(got, params, rtol=1e-9, atol=1e-10)

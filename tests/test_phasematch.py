@@ -3,6 +3,7 @@ import math
 import random
 import statistics
 import sys
+from unittest import mock
 
 import mpmath
 import pytest
@@ -206,6 +207,13 @@ class TestDeltaBeta:
                 resonance_exclusion_rel=REFERENCE_EXCLUSION,
             )
 
+    @pytest.mark.parametrize("wavelength", [math.inf, math.nan])
+    def test_non_finite_wavelength_is_named(self, fiber_geom, h2_gas, reference_scheme, wavelength):
+        # the scheme checks only the sign of its wavelengths; an infinite pump1 gave a nan mismatch
+        scheme = dataclasses.replace(reference_scheme, pump1_nm=wavelength)
+        with pytest.raises(ValueError, match=f"wavelength must be positive and finite, got {wavelength!r}"):
+            delta_beta(scheme, 80.0, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
+
 
 class TestOptimalPressure:
     def test_reference_configuration_root(self, fiber_geom, h2_gas, reference_scheme):
@@ -327,6 +335,63 @@ class TestPhaseMatchingFactor:
             assert val < 1.0
 
 
+#: design-sweep's design space, outside the wall-resonance guard band, with the search settings varied
+_ACCEPTANCE_CASES = dict(
+    thickness=st.floats(1.235, 1.297),
+    core_radius=st.floats(22.0, 24.0),
+    temperature=st.floats(283.0, 303.0),
+    length=st.floats(0.05, 30.0),
+    p_offset=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+    scan_steps=st.one_of(st.just(2000), st.integers(1, 5000)),
+    limits=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 400.0))),
+)
+
+
+def _acceptance_case(thickness, core_radius, temperature, length, p_offset, scan_steps, limits):
+    """pressure_acceptance's (args, kwargs) for one drawn case; rejects designs without a p_opt."""
+    geom = FiberGeometry(core_radius, 18.3, thickness, 7, 1.444)
+    gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15)
+    kwargs = dict(resonance_exclusion_rel=REFERENCE_EXCLUSION)
+    try:
+        p_root = optimal_pressure(_SCHEME, temperature, geom, gas, **kwargs).pressure_bar
+    except (ResonanceProximityError, NoRootError):
+        assume(False)
+    p_opt = max(0.0, p_root + p_offset)
+    if limits is not None:  # a fraction of the way down to 0 bar, a span above p_opt
+        limits = (p_opt * limits[0], p_opt + limits[1])
+    return (_SCHEME, temperature, geom, gas, length, p_opt, limits, scan_steps), kwargs
+
+
+def _recorded(search, *args, **kwargs):
+    """search's result (or its exception) and the pressure of each delta_beta it evaluated, in order."""
+    pressures = []
+    build = phasematch.mismatch_curve
+
+    def recording_curve(*curve_args):
+        curve = build(*curve_args)
+        return lambda p: pressures.append(p) or curve(p)
+
+    with mock.patch.object(phasematch, "mismatch_curve", recording_curve):
+        try:
+            return search(*args, **kwargs), pressures
+        except Exception as exc:  # the comparison is the point: any type
+            return exc, pressures
+
+
+def _per_side(pressures, p_opt):
+    """(lower, upper) evaluation counts after the first, at p_opt: the lower side is searched first, at
+    pressures <= p_opt, so the upper side starts at the first pressure above p_opt."""
+    rest = pressures[1:]
+    split = next((i for i, p in enumerate(rest) if p > p_opt), len(rest))
+    return split, len(rest) - split
+
+
+def _hex(width):
+    """An AcceptanceWidth's edges and width as float.hex strings (None for a missing edge), and bounded."""
+    values = (width.lower_bar, width.upper_bar, width.width_bar)
+    return tuple(None if v is None else v.hex() for v in values), width.bounded
+
+
 class TestPressureAcceptance:
     @pytest.fixture()
     def p_opt(self, fiber_geom, h2_gas, reference_scheme):
@@ -395,29 +460,10 @@ class TestPressureAcceptance:
         assert (w.lower_bar, w.upper_bar, w.bounded) == (None, None, False)
         assert 0.0 <= min(pressures) and max(pressures) <= 3.0 * p_opt + 10.0
 
-    @given(
-        thickness=st.floats(1.235, 1.297),
-        core_radius=st.floats(22.0, 24.0),
-        temperature=st.floats(283.0, 303.0),
-        length=st.floats(0.05, 30.0),
-        p_offset=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
-        scan_steps=st.one_of(st.just(2000), st.integers(1, 5000)),
-        limits=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 400.0))),
-    )
+    @given(**_ACCEPTANCE_CASES)
     @settings(max_examples=200, deadline=None)
     def test_search_agrees_with_the_grid_walk(self, thickness, core_radius, temperature, length, p_offset, scan_steps, limits):
-        # design-sweep's design space, outside the wall-resonance guard band
-        geom = FiberGeometry(core_radius, 18.3, thickness, 7, 1.444)
-        gas = GasDispersion("H2", H2_COEFFICIENTS, 1.01325, 273.15)
-        kwargs = dict(resonance_exclusion_rel=REFERENCE_EXCLUSION)
-        try:
-            p_root = optimal_pressure(_SCHEME, temperature, geom, gas, **kwargs).pressure_bar
-        except (ResonanceProximityError, NoRootError):
-            assume(False)
-        p_opt = max(0.0, p_root + p_offset)
-        if limits is not None:  # a fraction of the way down to 0 bar, a span above p_opt
-            limits = (p_opt * limits[0], p_opt + limits[1])
-        args = (_SCHEME, temperature, geom, gas, length, p_opt, limits, scan_steps)
+        args, kwargs = _acceptance_case(thickness, core_radius, temperature, length, p_offset, scan_steps, limits)
         searched, walked = pressure_acceptance(*args, **kwargs), _walk_acceptance(*args, **kwargs)
         assert searched.bounded == walked.bounded
         # each edge is the midpoint of a bracket under 1e-6 bar wide around the same first crossing
@@ -425,6 +471,46 @@ class TestPressureAcceptance:
             assert (edge is None) == (walked_edge is None)
             if edge is not None:
                 assert abs(edge - walked_edge) <= 1e-6
+
+    @given(**_ACCEPTANCE_CASES)
+    @settings(max_examples=300, deadline=None)
+    def test_search_equals_the_gallop(self, thickness, core_radius, temperature, length, p_offset, scan_steps, limits):
+        args, kwargs = _acceptance_case(thickness, core_radius, temperature, length, p_offset, scan_steps, limits)
+        p_opt = args[5]
+        searched, searched_pressures = _recorded(pressure_acceptance, *args, **kwargs)
+        galloped, galloped_pressures = _recorded(_gallop_acceptance, *args, **kwargs)
+        if isinstance(galloped, AcceptanceWidth):
+            assert isinstance(searched, AcceptanceWidth)
+            # the same adjacent grid pair, refined the same way: equal bit for bit
+            assert _hex(searched) == _hex(galloped)
+        else:
+            assert type(searched) is type(galloped)
+        # a poor secant costs at most about twice the gallop's evaluations on either side
+        for got, gallop in zip(_per_side(searched_pressures, p_opt), _per_side(galloped_pressures, p_opt)):
+            assert got <= 2 * gallop + 2
+
+    @pytest.mark.parametrize("length", [0.3, 3.0, 30.0])
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda x: 1e-3 * x**3, lambda x: 0.01 * math.sinh(0.5 * x), lambda x: math.copysign(3.0 * abs(x) ** 0.5, x)],
+        ids=["cubic", "sinh", "sqrt"],
+    )
+    def test_a_poor_secant_costs_evaluations_not_accuracy(self, monkeypatch, shape, length):
+        # mismatches far from affine, odd about p_opt: the secant is a poor guess of the crossing
+        p_opt = 90.0
+        monkeypatch.setattr(phasematch, "mismatch_curve", lambda *args: lambda p: shape(p - p_opt))
+        args = (_SCHEME, T_K, None, None, length, p_opt)  # the fake curve needs no geometry or gas
+        searched, searched_pressures = _recorded(pressure_acceptance, *args)
+        galloped, galloped_pressures = _recorded(_gallop_acceptance, *args)
+        assert _hex(searched) == _hex(galloped)
+        for got, gallop in zip(_per_side(searched_pressures, p_opt), _per_side(galloped_pressures, p_opt)):
+            assert got <= 2 * gallop + 2
+
+    def test_half_width_root(self):
+        # sinc^2 falls from 1 to 0 on (0, pi), so its one root of sinc^2 = 1/2 there is the first
+        with mpmath.workdps(40):
+            root = mpmath.findroot(lambda x: (mpmath.sin(x) / x) ** 2 - 0.5, (1.0, 3.0), solver="illinois")
+        assert abs(phasematch._X_HALF - float(root)) <= 2 * math.ulp(phasematch._X_HALF)
 
 
 class TestInferWallThickness:
@@ -615,7 +701,7 @@ class TestShippedDesignPins:
         monkeypatch.setattr(phasematch, "phase_matching_factor", lambda *a: calls.append(a) or factor(*a))
         args, kwargs = shipped
         pressure_acceptance(*args, length_m, _SHIPPED_P_OPT, **kwargs)
-        assert len(calls) <= 80  # a walk over the 2000-step grid took 838 at 0.3 m and 165 at 1.85 m
+        assert len(calls) <= 20  # a walk over the 2000-step grid took 838 at 0.3 m and 165 at 1.85 m
 
     def test_infer_wall_thickness(self, shipped):
         (scheme, t_k, geom, gas), kwargs = shipped
@@ -652,8 +738,9 @@ class TestShippedDesignPins:
             before = len(evaluations)
             solve()
             counts[name] = len(evaluations) - before
-        # the secant-bisection root, the 60-step edge bisection and the nested inversion took 8, 61, 71 and 71
-        assert counts == {"optimal_pressure": 7, "acceptance 1.85 m": 33, "acceptance 0.3 m": 42, "inversion": 15}
+        # the secant-bisection root, the 60-step edge bisection and the nested inversion took 8, 61, 71 and 71;
+        # the galloping edge search took 33 and 42
+        assert counts == {"optimal_pressure": 7, "acceptance 1.85 m": 12, "acceptance 0.3 m": 13, "inversion": 15}
 
 
 # --- reference: pressure_acceptance as a walk over every grid point -----------------
@@ -695,6 +782,54 @@ def _walk_acceptance(
                 return 0.5 * (a + b)
             prev_p = p
         return None
+
+    lower = crossing(scan_limits[0])
+    upper = crossing(scan_limits[1])
+    bounded = lower is not None and upper is not None
+    width = (upper - lower) if bounded else math.inf
+    return AcceptanceWidth(lower_bar=lower, upper_bar=upper, width_bar=width, bounded=bounded)
+
+
+# --- reference: pressure_acceptance as a galloping search over the grid -------------
+
+
+def _gallop_acceptance(
+    scheme, temperature_k, geom, gas, length_m, p_opt_bar, scan_limits=None, scan_steps=2000,
+    modes=None, variant="zeisberger", resonance_exclusion_rel=0.03,
+):
+    """Each side's first grid index below 1/2 found by galloping (k = 1, 2, 4, ...) and bisecting
+    over the integers, then refined from that grid pair as pressure_acceptance refines it."""
+    if scan_limits is None:
+        scan_limits = (0.0, 3.0 * p_opt_bar + 10.0)
+    mismatch = phasematch.mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
+
+    def excess(p):
+        return phase_matching_factor(mismatch(p), length_m) - 0.5
+
+    at_optimum = excess(p_opt_bar)
+
+    def crossing(toward):
+        def grid(k):
+            p = p_opt_bar + (toward - p_opt_bar) * k / scan_steps
+            return max(p, toward) if toward < p_opt_bar else min(p, toward)
+
+        if at_optimum < 0.0:
+            return p_opt_bar
+        inside, k, f_inside = 0, 1, at_optimum
+        while (f_k := excess(grid(k))) >= 0.0:
+            if k == scan_steps:
+                return None
+            inside, k, f_inside = k, min(2 * k, scan_steps), f_k
+        while k - inside > 1:
+            mid = (inside + k) // 2
+            f_mid = excess(grid(mid))
+            if f_mid >= 0.0:
+                inside, f_inside = mid, f_mid
+            else:
+                k, f_k = mid, f_mid
+        (a, fa), (b, fb) = sorted([(grid(inside), f_inside), (grid(k), f_k)])
+        _, _, a, b, _ = phasematch._illinois(excess, a, b, fa, fb, 1e-6, 0.0, "acceptance edge", "bar")
+        return 0.5 * (a + b)
 
     lower = crossing(scan_limits[0])
     upper = crossing(scan_limits[1])
