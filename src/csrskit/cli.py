@@ -28,8 +28,8 @@ from pathlib import Path
 
 from csrskit import __version__
 from csrskit.bendloss import DEFAULT_CLADDING_PAIRS, EMPIRICAL_LP01_CUTOFF_M, critical_bend_radius, mode_accessibility
-from csrskit.config import ConfigError, ToolkitConfig, load_config
-from csrskit.core_model import LP01, LP11, ResonanceProximityError
+from csrskit.config import ToolkitConfig, load_config
+from csrskit.core_model import LP01, LP11
 from csrskit.efficiency import (
     ModelValidityWarning,
     UnboundedOptimumError,
@@ -39,29 +39,17 @@ from csrskit.efficiency import (
     project_length_scaling,
 )
 from csrskit.phasematch import (
-    InfeasibleSchemeError,
     NoConvergenceError,
     NoRootError,
     NoSolutionError,
-    SchemeDetuningError,
     mismatch_curve,
     optimal_pressure,
     phase_matching_factor,
 )
-from csrskit.raman_screen import CatalogFormatError, load_catalog, screen
+from csrskit.raman_screen import load_catalog, screen
 
-_INPUT_ERRORS = (
-    ConfigError,
-    CatalogFormatError,
-    InfeasibleSchemeError,
-    SchemeDetuningError,
-    NoRootError,
-    NoSolutionError,
-    ResonanceProximityError,
-    UnboundedOptimumError,
-    ValueError,
-    OSError,
-)
+# ConfigError, CatalogFormatError and the scheme and resonance errors are ValueErrors
+_INPUT_ERRORS = (NoSolutionError, UnboundedOptimumError, ValueError, OSError)
 
 
 def _fmt(value) -> str:
@@ -217,23 +205,19 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
 
     exceeded = False
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ModelValidityWarning)
-        for length in lengths:
-            try:
-                eta = predicted_efficiency(model, pump1, pump2, probe, length)
-            except OverflowError:
-                source = _sweep_source(args, "lengths", "length_m")
-                raise ValueError(f"{source}: the efficiency at {_fmt(length)} m overflows") from None
-            exceeded = exceeded or eta > 1.0
-            rows.append((length, eta))
+    for length in lengths:
+        try:
+            eta = predicted_efficiency(model, pump1, pump2, probe, length)
+        except OverflowError:
+            source = _sweep_source(args, "lengths", "length_m")
+            raise ValueError(f"{source}: the efficiency at {_fmt(length)} m overflows") from None
+        exceeded = exceeded or eta > 1.0
+        rows.append((length, eta))
 
     extra = []
     try:
         optimum = optimal_length(model, pump1, pump2, probe)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            rows.append((optimum.length_m, optimum.efficiency))
+        rows.append((optimum.length_m, optimum.efficiency))
         extra.append(f"optimal_length_m: {_fmt(optimum.length_m)}")
         extra.append(f"efficiency_at_optimum: {_fmt(optimum.efficiency)}")
         extra.append("last row: optimum length")
@@ -255,12 +239,10 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     power_product = pump1.coupled_power_w * pump2.coupled_power_w
     per_w2_pct = None
     if power_product > 0.0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            try:
-                per_w2_pct = predicted_efficiency(model, pump1, pump2, probe, length) / power_product * 100.0
-            except OverflowError:
-                raise ValueError(f"fields.fiber_length_m: the efficiency at {_fmt(length)} m overflows") from None
+        try:
+            per_w2_pct = predicted_efficiency(model, pump1, pump2, probe, length) / power_product * 100.0
+        except OverflowError:
+            raise ValueError(f"fields.fiber_length_m: the efficiency at {_fmt(length)} m overflows") from None
     if per_w2_pct is not None and model.loss_variant == "lumped-exponential":
         book = loss_bookkeeping(
             model.coefficient_pct_per_w2m2,
@@ -491,7 +473,10 @@ def main(argv=None) -> int:
             config = config.with_loss_variant(args.loss_variant)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, args, out_dir)
+        # efficiencies above 1 are reported in the efficiency CSV's header instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            return _COMMANDS[args.command](config, args, out_dir)
     except NoRootError as exc:
         print(f"error: no phase-matching root: {exc}", file=sys.stderr)
         return 2

@@ -5,16 +5,18 @@ The undepleted-pump efficiency of the four-wave mixing process scales as
     eta = C * P_pump1 * P_pump2 * L^2 * sinc^2(delta_beta L / 2)
 
 with the lumped coefficient C in % / (W^2 m^2) absorbing the nonlinear
-susceptibility, mode area and driving-field factors.  Three loss
-variants refine the L^2 envelope:
+susceptibility, mode area and driving-field factors.  The functions here
+give eta at delta_beta = 0; a mismatch is applied by multiplying by
+phasematch.phase_matching_factor(delta_beta, L).  Three loss variants
+refine the L^2 envelope:
 
 lossless
-    eta = C P1 P2 L^2 sinc^2, no attenuation at all.
+    eta = C P1 P2 L^2, no attenuation at all.
 lumped-exponential
     the lossless value times exp(-(a1 + a2 + ap + as) L), all four
     linear attenuation coefficients applied to the full length.
 amplitude-integral
-    eta = C P1 P2 sinc^2 e^{-as L} [(1 - e^{-aL}) / a]^2 with
+    eta = C P1 P2 e^{-as L} [(1 - e^{-aL}) / a]^2 with
     a = (a1 + a2 + ap - as) / 2, i.e. the coherent growth integral of
     the signal amplitude under exponentially decaying drive; recovers
     L^2 as a -> 0.
@@ -79,12 +81,12 @@ class LightField:
     incoupling: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.wavelength_nm <= 0:
-            raise ValueError("wavelength must be positive")
-        if self.power_w < 0:
-            raise ValueError("power must be non-negative")
-        if self.attenuation_db_per_m < 0:
-            raise ValueError("attenuation must be non-negative")
+        if not 0.0 < self.wavelength_nm < math.inf:
+            raise ValueError(f"wavelength_nm must be positive and finite, got {self.wavelength_nm!r}")
+        if not 0.0 <= self.power_w < math.inf:
+            raise ValueError(f"power_w must be non-negative and finite, got {self.power_w!r}")
+        if not 0.0 <= self.attenuation_db_per_m < math.inf:
+            raise ValueError(f"attenuation_db_per_m must be non-negative and finite, got {self.attenuation_db_per_m!r}")
         if not 0.0 <= self.incoupling <= 1.0:
             raise ValueError("incoupling must lie in [0, 1]")
 
@@ -102,12 +104,16 @@ class EfficiencyModel:
     signal_attenuation_db_per_m: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.coefficient_pct_per_w2m2 <= 0:
-            raise ValueError("coefficient must be positive")
+        if not 0.0 < self.coefficient_pct_per_w2m2 < math.inf:
+            raise ValueError(
+                f"coefficient_pct_per_w2m2 must be positive and finite, got {self.coefficient_pct_per_w2m2!r}"
+            )
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"unknown loss variant {self.loss_variant!r}; expected one of {LOSS_VARIANTS}")
-        if self.signal_attenuation_db_per_m < 0:
-            raise ValueError("signal attenuation must be non-negative")
+        if not 0.0 <= self.signal_attenuation_db_per_m < math.inf:
+            raise ValueError(
+                f"signal_attenuation_db_per_m must be non-negative and finite, got {self.signal_attenuation_db_per_m!r}"
+            )
 
 
 def efficiency_from_powers(
@@ -118,7 +124,6 @@ def efficiency_from_powers(
     alpha2_db: float,
     alpha_probe_db: float,
     length_m: float,
-    sinc_factor: float,
 ) -> float:
     """Efficiency (fraction) from coupled pump powers and beam attenuations in dB/m.
 
@@ -127,7 +132,7 @@ def efficiency_from_powers(
     entry points check their inputs and call it.  p1_w and p2_w are the
     powers inside the fiber, incoupling already applied.
     """
-    base = model.coefficient_pct_per_w2m2 / 100.0 * p1_w * p2_w * sinc_factor
+    base = model.coefficient_pct_per_w2m2 / 100.0 * p1_w * p2_w
     a1 = alpha_linear(alpha1_db)
     a2 = alpha_linear(alpha2_db)
     ap = alpha_linear(alpha_probe_db)
@@ -145,24 +150,36 @@ def efficiency_from_powers(
     return base * math.exp(-a_s * length_m) * growth**2
 
 
+def _checked_efficiency(
+    model: EfficiencyModel, p1_w: float, p2_w: float, a1_db: float, a2_db: float, ap_db: float, length_m: float
+) -> float:
+    """efficiency_from_powers at a checked length, warning with ModelValidityWarning above 1."""
+    if not 0.0 < length_m < math.inf:
+        raise ValueError(f"length_m must be positive and finite, got {length_m!r}")
+    eta = efficiency_from_powers(model, p1_w, p2_w, a1_db, a2_db, ap_db, length_m)
+    if eta > 1.0:
+        warnings.warn(
+            f"predicted efficiency {eta:.3g} exceeds 1; the undepleted-pump model is "
+            "not valid at this operating point",
+            ModelValidityWarning,
+            stacklevel=3,
+        )
+    return eta
+
+
 def predicted_efficiency(
     model: EfficiencyModel,
     pump1: LightField,
     pump2: LightField,
     probe: LightField,
     length_m: float,
-    sinc_factor: float = 1.0,
 ) -> float:
-    """Conversion efficiency (fraction) for the configured loss variant.
+    """Conversion efficiency (fraction) at delta_beta = 0 for the configured loss variant.
 
     Warns with ModelValidityWarning when the result exceeds 1; the value
     is returned unclamped so the breakdown is visible to the caller.
     """
-    if length_m <= 0:
-        raise ValueError("length must be positive")
-    if not 0.0 <= sinc_factor <= 1.0:
-        raise ValueError("sinc_factor must lie in [0, 1]")
-    eta = efficiency_from_powers(
+    return _checked_efficiency(
         model,
         pump1.coupled_power_w,
         pump2.coupled_power_w,
@@ -170,16 +187,7 @@ def predicted_efficiency(
         pump2.attenuation_db_per_m,
         probe.attenuation_db_per_m,
         length_m,
-        sinc_factor,
     )
-    if eta > 1.0:
-        warnings.warn(
-            f"predicted efficiency {eta:.3g} exceeds 1; the undepleted-pump model is "
-            "not valid at this operating point",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
-    return eta
 
 
 def max_power_efficiency(
@@ -190,7 +198,6 @@ def max_power_efficiency(
     pump1: LightField | None = None,
     pump2: LightField | None = None,
     probe: LightField | None = None,
-    sinc_factor: float = 1.0,
 ) -> float:
     """Efficiency at full pump powers and fixed length.
 
@@ -198,28 +205,15 @@ def max_power_efficiency(
     treated as loss-free with unit incoupling, so the result reduces to
     the per-W^2 coefficient at this length times P1 P2.
     """
-    if length_m <= 0:
-        raise ValueError("length must be positive")
-    i1 = pump1.incoupling if pump1 is not None else 1.0
-    i2 = pump2.incoupling if pump2 is not None else 1.0
-    eta = efficiency_from_powers(
+    return _checked_efficiency(
         model,
-        p1_max_w * i1,
-        p2_max_w * i2,
+        p1_max_w * (pump1.incoupling if pump1 is not None else 1.0),
+        p2_max_w * (pump2.incoupling if pump2 is not None else 1.0),
         pump1.attenuation_db_per_m if pump1 is not None else 0.0,
         pump2.attenuation_db_per_m if pump2 is not None else 0.0,
         probe.attenuation_db_per_m if probe is not None else 0.0,
         length_m,
-        sinc_factor,
     )
-    if eta > 1.0:
-        warnings.warn(
-            f"predicted efficiency {eta:.3g} exceeds 1; the undepleted-pump model is "
-            "not valid at this operating point",
-            ModelValidityWarning,
-            stacklevel=2,
-        )
-    return eta
 
 
 @dataclass(frozen=True)
@@ -233,7 +227,6 @@ def optimal_length(
     pump1: LightField,
     pump2: LightField,
     probe: LightField,
-    sinc_factor: float = 1.0,
 ) -> LengthOptimum:
     """Fiber length maximizing the predicted efficiency, in closed form.
 
@@ -263,9 +256,7 @@ def optimal_length(
         length = 2.0 / a_s if a == 0.0 else math.log1p(2.0 * a / a_s) / a
     if not math.isfinite(length):
         raise OverflowError("the optimum length overflows")
-    efficiency = efficiency_from_powers(
-        model, pump1.coupled_power_w, pump2.coupled_power_w, *db, length, sinc_factor
-    )
+    efficiency = efficiency_from_powers(model, pump1.coupled_power_w, pump2.coupled_power_w, *db, length)
     return LengthOptimum(length_m=length, efficiency=efficiency)
 
 
@@ -369,7 +360,7 @@ def project_length_scaling(
     def eta(length_m: float, source: str) -> float:
         try:
             return efficiency_from_powers(
-                model, p1, p2, attenuation_db_per_m, attenuation_db_per_m, attenuation_db_per_m, length_m, 1.0
+                model, p1, p2, attenuation_db_per_m, attenuation_db_per_m, attenuation_db_per_m, length_m
             )
         except OverflowError:
             raise OverflowError(f"{source}: the efficiency at {length_m:g} m overflows") from None

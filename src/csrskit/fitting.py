@@ -218,7 +218,7 @@ def fit_cutback(series: DataSeries) -> FitResult:
     )
 
 
-def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe, sinc_factor: float = 1.0) -> FitResult:
+def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe) -> FitResult:
     """One-parameter fit of the lumped coefficient C to (length m, eta) data.
 
     The loss model is held fixed (attenuations come from the fields and
@@ -242,7 +242,6 @@ def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe, sinc_f
             pump2.attenuation_db_per_m,
             probe.attenuation_db_per_m,
             length,
-            sinc_factor,
         )
         for length in x
     ]

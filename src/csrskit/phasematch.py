@@ -99,10 +99,16 @@ class NoConvergenceError(RuntimeError):
     """A bracketed root search used up its iterations before converging."""
 
 
+def _require_wavelengths(**wavelengths_nm: float) -> None:
+    """ValueError naming the first wavelength outside (0, inf); nan is outside too."""
+    for name, value in wavelengths_nm.items():
+        if not 0.0 < value < _INF:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def signal_wavelength(probe_nm: float, pump1_nm: float, pump2_nm: float) -> float:
     """Signal wavelength in nm from exact vacuum-wavenumber conservation."""
-    if min(probe_nm, pump1_nm, pump2_nm) <= 0:
-        raise ValueError("wavelengths must be positive")
+    _require_wavelengths(probe_nm=probe_nm, pump1_nm=pump1_nm, pump2_nm=pump2_nm)
     if 1.0 / pump2_nm < 1.0 / pump1_nm:
         raise InfeasibleSchemeError("pump2 must not be redder than pump1")
     inv_signal = 1.0 / probe_nm - 1.0 / pump2_nm + 1.0 / pump1_nm
@@ -113,8 +119,7 @@ def signal_wavelength(probe_nm: float, pump1_nm: float, pump2_nm: float) -> floa
 
 def raman_beat_thz(pump1_nm: float, pump2_nm: float) -> float:
     """Pump beat frequency c (1/lambda_pump2 - 1/lambda_pump1), in THz."""
-    if pump1_nm <= 0 or pump2_nm <= 0:
-        raise ValueError("wavelengths must be positive")
+    _require_wavelengths(pump1_nm=pump1_nm, pump2_nm=pump2_nm)
     return _C_M_PER_S * (1.0 / (pump2_nm * 1e-9) - 1.0 / (pump1_nm * 1e-9)) * 1e-12
 
 
@@ -136,12 +141,13 @@ class ConversionScheme:
     raman_shift_cm1: float
 
     def __post_init__(self) -> None:
-        if min(self.pump1_nm, self.pump2_nm, self.probe_nm, self.signal_nm) <= 0:
-            raise ValueError("all wavelengths must be positive")
+        _require_wavelengths(
+            pump1_nm=self.pump1_nm, pump2_nm=self.pump2_nm, probe_nm=self.probe_nm, signal_nm=self.signal_nm
+        )
         if self.signal_nm <= self.probe_nm:
             raise ValueError("signal must be red of the probe (raman_shift_cm1 must be positive)")
         inv_expected = 1.0 / self.probe_nm - self.raman_shift_cm1 * 1e-7
-        if abs(1.0 / self.signal_nm - inv_expected) > 1e-9 * abs(1.0 / self.signal_nm):
+        if not abs(1.0 / self.signal_nm - inv_expected) <= 1e-9 * abs(1.0 / self.signal_nm):  # nan fails too
             raise ValueError("signal_nm inconsistent with probe_nm and raman_shift_cm1")
 
     @classmethod
@@ -158,6 +164,7 @@ class ConversionScheme:
         When transition_cm1 is given, the pump beat must match it within
         detuning_tolerance_cm1 or SchemeDetuningError is raised.
         """
+        signal_nm = signal_wavelength(probe_nm, pump1_nm, pump2_nm)  # checks the wavelengths first
         shift_cm1 = 1e7 / pump2_nm - 1e7 / pump1_nm
         if transition_cm1 is not None:
             detuning = shift_cm1 - transition_cm1
@@ -167,7 +174,6 @@ class ConversionScheme:
                     f"nominal transition at {transition_cm1:.2f} cm^-1 "
                     f"(tolerance {detuning_tolerance_cm1:g} cm^-1)"
                 )
-        signal_nm = signal_wavelength(probe_nm, pump1_nm, pump2_nm)
         return cls(
             pump1_nm=pump1_nm,
             pump2_nm=pump2_nm,

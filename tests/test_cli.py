@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,16 @@ class TestEfficiency:
         etas = {float(l): float(e) for l, e in rows}
         assert etas[2.0] / etas[1.0] == pytest.approx(4.0, rel=1e-12)
         assert etas[4.0] / etas[2.0] == pytest.approx(4.0, rel=1e-12)
+
+    def test_efficiencies_above_one_are_reported_in_the_header_not_warned(self, tmp_path):
+        argv = ["--config", SHIPPED, "--out", str(tmp_path), "--loss-variant", "lossless"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "efficiency", "--lengths", "1:400:5") == 0
+        text = (tmp_path / "efficiency_vs_length.csv").read_text()
+        assert "# warning: efficiencies above 1 are outside the undepleted-pump validity range\n" in text
+        _, rows = read_rows(tmp_path / "efficiency_vs_length.csv")
+        assert max(float(eta) for _, eta in rows) > 1.0
 
     def test_zero_power_gives_zero_column(self, tmp_path):
         path = modified_config(

@@ -144,9 +144,10 @@ class TestPredictedEfficiency:
     def test_above_unity_warns_but_returns(self):
         model = EfficiencyModel(5000.0, "lossless")
         pump1, pump2, probe = fields(p1=10.0, p2=10.0)
-        with pytest.warns(ModelValidityWarning):
+        with pytest.warns(ModelValidityWarning) as record:
             eta = predicted_efficiency(model, pump1, pump2, probe, 10.0)
         assert eta > 1.0
+        assert record[0].filename == __file__  # attributed to the caller
 
 
 class TestMaxPowerEfficiency:
@@ -165,6 +166,23 @@ class TestMaxPowerEfficiency:
     def test_zero_power(self):
         model = EfficiencyModel(0.0044, "lossless")
         assert max_power_efficiency(model, 0.0, 8.0, 1.85) == 0.0
+
+    def test_above_unity_warns_but_returns(self):
+        model = EfficiencyModel(5000.0, "lossless")
+        with pytest.warns(ModelValidityWarning, match="exceeds 1") as record:
+            eta = max_power_efficiency(model, 10.0, 10.0, 10.0)
+        assert eta == 5000.0 / 100.0 * 10.0 * 10.0 * 10.0**2
+        assert record[0].filename == __file__  # attributed to the caller
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+def test_length_outside_zero_to_infinity_is_named(length):
+    model = EfficiencyModel(0.0044, "lossless")
+    message = f"^length_m must be positive and finite, got {length!r}"
+    with pytest.raises(ValueError, match=message):
+        predicted_efficiency(model, *fields(), length)
+    with pytest.raises(ValueError, match=message):
+        max_power_efficiency(model, 15.0, 8.0, length)
 
 
 class TestOptimalLength:
@@ -299,3 +317,21 @@ class TestFieldValidation:
             EfficiencyModel(0.0)
         with pytest.raises(ValueError):
             EfficiencyModel(0.0044, "exponential-ish")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["wavelength_nm", "power_w", "attenuation_db_per_m"])
+    def test_light_field_rejects_non_finite_values(self, name, value):
+        kwargs = {"wavelength_nm": 914.0, "power_w": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be (positive|non-negative) and finite, got {value!r}"):
+            LightField(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["coefficient_pct_per_w2m2", "signal_attenuation_db_per_m"])
+    def test_model_rejects_non_finite_values(self, name, value):
+        kwargs = {"coefficient_pct_per_w2m2": 0.0044, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be (positive|non-negative) and finite, got {value!r}"):
+            EfficiencyModel(**kwargs)
+
+    def test_zero_power_and_attenuation_stay_valid(self):
+        assert LightField(914.0, 0.0, 0.0).coupled_power_w == 0.0
+        assert EfficiencyModel(0.0044, "lumped-exponential", 0.0).signal_attenuation_db_per_m == 0.0

@@ -125,6 +125,29 @@ class TestConversionScheme:
         )
         assert s.raman_shift_cm1 - 4155.25 == pytest.approx(8.85, abs=0.01)
 
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, 0.0, -914.0])
+    @pytest.mark.parametrize("name", ["probe_nm", "pump1_nm", "pump2_nm"])
+    def test_from_pumps_names_a_bad_wavelength(self, name, wavelength):
+        # nan gave a nan signal and inf a finite 30 749.6 nm one; with a transition, inf was a detuning error
+        kwargs = {"probe_nm": 914.0, "pump1_nm": 1550.0, "pump2_nm": 942.0, name: wavelength}
+        for transition in (None, 4155.25):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {wavelength!r}"):
+                ConversionScheme.from_pumps(**kwargs, transition_cm1=transition)
+
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf])
+    def test_raman_beat_names_a_non_finite_pump(self, wavelength):
+        # raman_beat_thz(inf, 942) gave 318.25 THz
+        with pytest.raises(ValueError, match=f"^pump1_nm must be positive and finite, got {wavelength!r}"):
+            raman_beat_thz(wavelength, 942.0)
+        with pytest.raises(ValueError, match=f"^pump2_nm must be positive and finite, got {wavelength!r}"):
+            raman_beat_thz(1550.0, wavelength)
+
+    def test_direct_construction_rejects_non_finite_values(self, reference_scheme):
+        with pytest.raises(ValueError, match="^signal_nm must be positive and finite, got nan"):
+            dataclasses.replace(reference_scheme, signal_nm=math.nan)
+        with pytest.raises(ValueError, match="^signal_nm inconsistent"):
+            dataclasses.replace(reference_scheme, raman_shift_cm1=math.nan)
+
     def test_direct_construction_must_be_consistent(self):
         with pytest.raises(ValueError):
             ConversionScheme(1550.0, 942.0, 914.0, 1480.0, 4164.1)
@@ -208,11 +231,10 @@ class TestDeltaBeta:
             )
 
     @pytest.mark.parametrize("wavelength", [math.inf, math.nan])
-    def test_non_finite_wavelength_is_named(self, fiber_geom, h2_gas, reference_scheme, wavelength):
-        # the scheme checks only the sign of its wavelengths; an infinite pump1 gave a nan mismatch
-        scheme = dataclasses.replace(reference_scheme, pump1_nm=wavelength)
-        with pytest.raises(ValueError, match=f"wavelength must be positive and finite, got {wavelength!r}"):
-            delta_beta(scheme, 80.0, T_K, fiber_geom, h2_gas, resonance_exclusion_rel=REFERENCE_EXCLUSION)
+    def test_non_finite_wavelength_is_named(self, reference_scheme, wavelength):
+        # an infinite pump1 gave a nan mismatch; the scheme now refuses it before delta_beta sees it
+        with pytest.raises(ValueError, match=f"^pump1_nm must be positive and finite, got {wavelength!r}"):
+            dataclasses.replace(reference_scheme, pump1_nm=wavelength)
 
 
 class TestOptimalPressure:
