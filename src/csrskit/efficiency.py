@@ -347,8 +347,20 @@ def project_length_scaling(
     UnboundedOptimumError, and an optimum length or efficiency too large
     for a float raises OverflowError; both messages name the input
     behind the length: attenuation_db_per_m (the optimum) or
-    reference_length_m.
+    reference_length_m.  Raises ValueError, naming the argument, unless
+    attenuation_db_per_m and both pump powers are finite and non-negative,
+    incoupling lies in [0, 1] and reference_length_m, when given, is finite
+    and positive.
     """
+    if not 0.0 <= attenuation_db_per_m < math.inf:  # nan included
+        raise ValueError(f"attenuation_db_per_m must be non-negative and finite, got {attenuation_db_per_m!r}")
+    for name, power in (("pump1_power_w", pump1_power_w), ("pump2_power_w", pump2_power_w)):
+        if not 0.0 <= power < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {power!r}")
+    if not 0.0 <= incoupling <= 1.0:
+        raise ValueError(f"incoupling must lie in [0, 1], got {incoupling!r}")
+    if reference_length_m is not None and not 0.0 < reference_length_m < math.inf:
+        raise ValueError(f"reference_length_m must be positive and finite, got {reference_length_m!r}")
     model = EfficiencyModel(
         coefficient_pct_per_w2m2=coefficient_pct_per_w2m2,
         loss_variant="lumped-exponential",

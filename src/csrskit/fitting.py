@@ -223,9 +223,13 @@ def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe) -> Fit
 
     The loss model is held fixed (attenuations come from the fields and
     the model, they are not fitted); only the overall coefficient scales.
-    C is reported in % / (W^2 m^2).
+    C is reported in % / (W^2 m^2).  Raises ValueError, naming the value,
+    unless every length is positive.
     """
     x, y, w = _reals(series.x, "x"), _reals(series.y, "y"), series.weights
+    for length in x:
+        if not length > 0.0:
+            raise ValueError(f"fiber lengths must be positive, got x = {length!r}")
     if all(v == 0 for v in y):
         raise ValueError("all efficiencies are zero; the coefficient is unidentifiable")
     unit = EfficiencyModel(

@@ -343,7 +343,7 @@ def _illinois(
     bracket is at most xtol wide, and returns (x, f(x), a, b, iterations).
     Raises NoConvergenceError after max_iter iterations.
     """
-    negative_at_a = fa < 0.0
+    negative_at_a = fa < 0.0 or fb > 0.0  # a 0 at a takes the sign opposite to b's
     moved = None  # the end the last iteration moved, "a" or "b"
     x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     iterations = 0
@@ -420,44 +420,27 @@ def pressure_acceptance(
     length_m: float,
     p_opt_bar: float,
     scan_limits: tuple[float, float] | None = None,
-    scan_steps: int = 2000,
     modes: dict[str, ModeLabel] | ModeLabel | None = None,
     variant: str = "zeisberger",
     resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
 ) -> AcceptanceWidth:
     """Full pressure width over which sinc^2(delta_beta L / 2) >= 1/2.
 
-    Each side is searched on the grid p_k = p_opt_bar + (limit - p_opt_bar)
-    k / scan_steps, k = 1 .. scan_steps, held inside its scan limit, for the
-    first index k* where the factor is below 1/2.  delta_beta is nearly affine
-    in p, so after the first side's p_1 each probe goes where the secant
-    through the last two probes (p_0 = p_opt_bar the last at each side's
-    start) reaches +-2 x_half / L, where sinc^2 = 1/2, held strictly inside
-    the integer bracket (interpolation search: Perl, Itai & Avni, CACM 21,
-    550 (1978)).  A predicted probe that neither halves the bracket nor,
-    while no index below 1/2 is known, doubles its inner end is followed by a
-    bisection probe (a doubling one while no index below 1/2 is known), so a
-    poor secant costs evaluations, not accuracy.  The edge is the midpoint of
-    a bracket at most 1e-6 bar wide around the root of factor - 1/2 on
-    [p_(k*-1), p_k*], found by the Illinois method from the two grid values
-    in hand.  A side at or above 1/2 at its scan limit is unbounded
-    (width_bar = inf, bounded = False); when the factor at p_opt_bar is
-    already below 1/2, both edges are p_opt_bar.
+    The factor is 1/2 where |delta_beta| = 2 x_half / L.  delta_beta is
+    taken to be monotone in pressure, as this model's mismatch is, so the
+    factor stays >= 1/2 out to a side's scan limit exactly when it is >= 1/2
+    at the limit; such a side is unbounded (width_bar = inf, bounded =
+    False).  Otherwise the edge is the one root of delta_beta(p) -
+    copysign(2 x_half / L, delta_beta(limit)) between p_opt_bar and the
+    limit, found by the Illinois method from the two values in hand to a
+    residual under 1e-9 rad/m or a bracket a few ulps wide.  When
+    |delta_beta(p_opt_bar)| already exceeds 2 x_half / L, both edges are
+    p_opt_bar.
 
-    The search premises that the factor, once below 1/2 along a side, stays
-    below it out to the scan limit, as it does for this model's mismatch,
-    monotone in pressure; it then brackets the first crossing a walk over
-    every grid point would find.  A probe can land anywhere out to the scan
-    limit, so an error beyond the crossing (a DispersionDomainError at an
-    extreme limit, say) can surface where a walk would have stopped.
-
-    Raises ValueError, naming the argument, unless scan_steps is an integer
-    (not a bool) >= 1, length_m is finite and positive, and p_opt_bar and
-    both scan limits are finite with 0 <= scan_limits[0] <= p_opt_bar <=
-    scan_limits[1].
+    Raises ValueError, naming the argument, unless length_m is finite and
+    positive, and p_opt_bar and both scan limits are finite with 0 <=
+    scan_limits[0] <= p_opt_bar <= scan_limits[1].
     """
-    if isinstance(scan_steps, bool) or not isinstance(scan_steps, int) or scan_steps < 1:
-        raise ValueError(f"scan_steps must be an integer >= 1, got {scan_steps!r}")
     if not (math.isfinite(length_m) and length_m > 0.0):
         raise ValueError(f"length_m must be finite and positive, got {length_m!r}")
     if not math.isfinite(p_opt_bar):
@@ -471,60 +454,24 @@ def pressure_acceptance(
             f"got {tuple(scan_limits)!r} around p_opt_bar = {p_opt_bar!r}"
         )
     mismatch = mismatch_curve(scheme, temperature_k, geom, gas, modes, variant, resonance_exclusion_rel)
-
-    def excess(p: float) -> float:
-        return phase_matching_factor(mismatch(p), length_m) - 0.5
-
     d_opt = mismatch(p_opt_bar)
-    at_optimum = phase_matching_factor(d_opt, length_m) - 0.5
     half_width = 2.0 * _X_HALF / length_m  # the |delta_beta| where the factor is 1/2
-    probes = [(p_opt_bar, d_opt)]  # (p, delta_beta) of the search so far; the last two give the secant
 
-    def crossing(toward: float) -> float | None:
-        # first pressure where the factor falls below 1/2
-        def grid(k: int) -> float:
-            # grid(0) is p_opt_bar; rounding can carry grid(scan_steps) past the limit
-            p = p_opt_bar + (toward - p_opt_bar) * k / scan_steps
-            return max(p, toward) if toward < p_opt_bar else min(p, toward)
-
-        if at_optimum < 0.0:  # p_opt is not a valid maximum for this length
+    def edge(limit: float) -> float | None:
+        if abs(d_opt) > half_width:  # p_opt is not a valid maximum for this length
             return p_opt_bar
-        if toward == p_opt_bar:  # every grid point is p_opt_bar
+        if limit == p_opt_bar:  # a side of zero span
             return None
-        probes.append((p_opt_bar, d_opt))  # this side's secant runs through p_opt and the last probe
-        inside, f_inside, k, f_k = 0, at_optimum, scan_steps + 1, None  # factor >= 1/2 at inside, < 1/2 at k
-        bisect = False
-        while k - inside > 1:
-            (p_a, d_a), (p_b, d_b) = probes[-2:]
-            predict = not bisect and d_a != d_b
-            if predict:  # the index where the delta_beta secant reaches +-half_width
-                target = math.copysign(half_width, (d_b - d_a) * (p_b - p_a) * (toward - p_opt_bar))
-                p_cross = p_b + (target - d_b) * (p_b - p_a) / (d_b - d_a)
-                r = (p_cross - p_opt_bar) / (toward - p_opt_bar) * scan_steps
-                j = math.ceil(min(k - 1, max(inside + 1, r)))  # in this order a nan r gives inside + 1
-            elif f_k is None:  # the gallop's doubling probe
-                j = min(2 * inside, scan_steps) or 1
-            else:
-                j = (inside + k) // 2
-            p = grid(j)
-            d = mismatch(p)
-            f = phase_matching_factor(d, length_m) - 0.5
-            probes.append((p, d))
-            width, doubled = k - inside, 2 * inside
-            if f >= 0.0:
-                inside, f_inside = j, f
-            else:
-                k, f_k = j, f
-            # a predicted probe that neither halves the bracket nor (with no k known) doubles inside
-            bisect = predict and 2 * (k - inside) > width and (f_k is not None or inside < doubled)
-        if f_k is None:  # the factor is >= 1/2 at the scan limit
+        d_limit = mismatch(limit)
+        if abs(d_limit) <= half_width:  # the factor is >= 1/2 out to the limit
             return None
-        (a, fa), (b, fb) = sorted([(grid(inside), f_inside), (grid(k), f_k)])
-        _, _, a, b, _ = _illinois(excess, a, b, fa, fb, 1e-6, 0.0, "acceptance edge", "bar")
-        return 0.5 * (a + b)
+        target = math.copysign(half_width, d_limit)
+        (a, fa), (b, fb) = sorted([(p_opt_bar, d_opt - target), (limit, d_limit - target)])
+        xtol = max(1e-15, 1e-14 * b)  # a few ulps
+        return _illinois(lambda p: mismatch(p) - target, a, b, fa, fb, xtol, 1e-9, "acceptance edge", "bar")[0]
 
-    lower = crossing(p_min)
-    upper = crossing(p_max)
+    lower = edge(p_min)
+    upper = edge(p_max)
     bounded = lower is not None and upper is not None
     width = (upper - lower) if bounded else math.inf
     return AcceptanceWidth(lower_bar=lower, upper_bar=upper, width_bar=width, bounded=bounded)

@@ -302,6 +302,31 @@ class TestScalingProjection:
         with pytest.raises(UnboundedOptimumError, match="^attenuation_db_per_m: zero total attenuation"):
             project_length_scaling(0.0044, 15.0, 8.0, 0.0, 0.83)
 
+    @pytest.mark.parametrize(
+        "argument,value,message",
+        [
+            ("incoupling", math.nan, r"incoupling must lie in \[0, 1\], got nan"),
+            ("incoupling", 2.0, r"incoupling must lie in \[0, 1\], got 2\.0"),  # gave an efficiency of 1.35
+            ("pump1_power_w", math.nan, r"pump1_power_w must be non-negative and finite, got nan"),
+            ("pump1_power_w", -15.0, r"pump1_power_w must be non-negative and finite, got -15\.0"),
+            ("pump2_power_w", math.inf, r"pump2_power_w must be non-negative and finite, got inf"),
+            ("reference_length_m", math.nan, r"reference_length_m must be positive and finite, got nan"),
+            ("reference_length_m", -3.0, r"reference_length_m must be positive and finite, got -3\.0"),
+            ("reference_length_m", 0.0, r"reference_length_m must be positive and finite, got 0\.0"),
+            # not signal_attenuation_db_per_m, the field of the internal model
+            ("attenuation_db_per_m", math.nan, r"attenuation_db_per_m must be non-negative and finite, got nan"),
+            ("attenuation_db_per_m", -0.1, r"attenuation_db_per_m must be non-negative and finite, got -0\.1"),
+        ],
+    )
+    def test_bad_arguments_are_named(self, argument, value, message):
+        args = dict(
+            coefficient_pct_per_w2m2=0.0044, pump1_power_w=15.0, pump2_power_w=8.0, attenuation_db_per_m=0.1,
+            incoupling=0.8, reference_length_m=21.0,
+        )  # fmt: skip
+        args[argument] = value
+        with pytest.raises(ValueError, match="^" + message):
+            project_length_scaling(**args)
+
 
 class TestFieldValidation:
     def test_light_field_invariants(self):

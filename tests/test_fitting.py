@@ -193,6 +193,14 @@ class TestFitEfficiencyLength:
         with pytest.raises(ValueError):
             fit_efficiency_length(series, self.MODEL, *self.FIELDS)
 
+    @pytest.mark.parametrize("x", [[-1.0, -2.0, 1.0], [0.5, 0.0, 1.0]])
+    def test_non_positive_length_is_named(self, x):
+        # [-1, -2, 1] gave C = 0.000199 %/(W^2 m^2)
+        series = DataSeries(x, [0.001, 0.002, 0.001])
+        bad = next(v for v in x if v <= 0.0)
+        with pytest.raises(ValueError, match=rf"^fiber lengths must be positive, got x = {bad!r}$"):
+            fit_efficiency_length(series, self.MODEL, *self.FIELDS)
+
 
 class TestFitBendSaturation:
     X = np.linspace(0.12, 0.60, 12)
