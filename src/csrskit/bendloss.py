@@ -13,12 +13,18 @@ n = 1 - (1/2)(j lambda / 2 pi r)^2 evaluated with the respective radii.
 Below R the mode is resonantly drained and effectively unusable; the
 worst case is the bend plane aligned with a capillary, d = r_core +
 r_capillary (the thin glass wall is neglected, t << r_capillary).
+
+mode_accessibility takes each critical radius from a small cache keyed
+by value on (geometry, wavelength, core mode, cladding mode), so a sweep
+over bend radii solves each pairing once.  NoResonanceError is not
+cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from csrskit.core_model import FiberGeometry, LP01, LP11, ModeLabel, marcatili_mode_index
 
@@ -71,15 +77,18 @@ def capillary_center_distance(
 ) -> float:
     """Core-center to capillary distance projected onto the bend plane, um.
 
-    Worst case returns d = r_core + r_capillary.  Angle-resolved returns
-    the largest projection over the capillary ring for the given azimuth,
-    which never exceeds the worst case.
+    Worst case returns d = r_core + r_capillary and ignores the azimuth.
+    Angle-resolved returns the largest projection over the capillary ring
+    for the given azimuth, which never exceeds the worst case; it raises
+    ValueError unless azimuth_rad is finite.
     """
     d = geom.core_radius_um + geom.capillary_inner_radius_um
     if alignment == "worst-case":
         return d
     if alignment != "angle-resolved":
         raise ValueError("alignment must be 'worst-case' or 'angle-resolved'")
+    if not math.isfinite(azimuth_rad):
+        raise ValueError(f"azimuth_rad must be finite, got {azimuth_rad!r}")
     n = geom.num_capillaries
     return d * max(abs(math.cos(azimuth_rad + 2.0 * math.pi * k / n)) for k in range(n))
 
@@ -95,7 +104,8 @@ def critical_bend_radius(
     """Bend radius at which the core mode index-matches a capillary mode, m.
 
     Raises NoResonanceError when the pairing has n_core <= n_clad, in
-    which case no bend can bring the modes into resonance.
+    which case no bend can bring the modes into resonance, and ValueError,
+    naming it, unless wavelength_nm is positive and finite.
     """
     n_core = marcatili_mode_index(wavelength_nm, geom.core_radius_um, core_mode)
     n_clad = marcatili_mode_index(wavelength_nm, geom.capillary_inner_radius_um, clad_mode)
@@ -136,34 +146,47 @@ def mode_accessibility(
     resonance and stay accessible.  For the probe wavelength the
     empirically observed fundamental-mode cutoff is attached as an
     annotation alongside the computed resonance radius.
+
+    Raises ValueError, naming the argument, unless bend_radius_m is
+    positive and wavelength_nm positive and finite.  A bend radius of
+    +inf, a straight fiber, is valid and suppresses nothing.  Critical
+    radii come from a cache keyed by value; every call returns new
+    ModeAccess objects, each with its own critical_radii_m dict.
     """
-    if bend_radius_m <= 0:
-        raise ValueError("bend radius must be positive")
+    if not bend_radius_m > 0.0:  # nan included
+        raise ValueError(f"bend_radius_m must be positive, got {bend_radius_m!r}")
+    if not 0.0 < wavelength_nm < math.inf:
+        raise ValueError(f"wavelength_nm must be positive and finite, got {wavelength_nm!r}")
     pairs = DEFAULT_CLADDING_PAIRS if cladding_pairs is None else cladding_pairs
     out: list[ModeAccess] = []
     for mode in modes:
         radii: dict[ModeLabel, float] = {}
         for clad in pairs.get(mode, ()):
             try:
-                radii[clad] = critical_bend_radius(geom, wavelength_nm, mode, clad)
+                radii[clad] = _cached_critical_radius(geom, wavelength_nm, mode, clad)
             except NoResonanceError:
                 continue
         limiting = max(radii.values()) if radii else None
         suppressed = limiting is not None and bend_radius_m < limiting
-        notes: list[str] = []
         if is_probe and mode == LP01:
             cutoff, err = empirical_lp01_cutoff_m
-            notes.append(
+            notes = (
                 f"empirical LP01 cutoff at the probe wavelength: {cutoff:.2f} +/- {err:.2f} m "
-                "(measured breakdown radius, distinct from the computed resonance radius)"
+                "(measured breakdown radius, distinct from the computed resonance radius)",
             )
-        out.append(
-            ModeAccess(
-                mode=mode,
-                suppressed=suppressed,
-                limiting_radius_m=limiting,
-                critical_radii_m=radii,
-                annotations=tuple(notes),
-            )
-        )
+        else:
+            notes = ()
+        out.append(ModeAccess(mode, suppressed, limiting, radii, notes))
     return out
+
+
+#: (geometry, wavelength, mode pair) keys whose critical radius stays cached;
+#: a bend sweep asks for one or two.
+_RADIUS_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_RADIUS_CACHE_SIZE)
+def _cached_critical_radius(geom: FiberGeometry, wavelength_nm: float, core_mode: ModeLabel, clad_mode: ModeLabel) -> float:
+    # a miss calls critical_bend_radius through the module namespace, so a
+    # wrapper installed there sees every radius actually computed
+    return critical_bend_radius(geom, wavelength_nm, core_mode, clad_mode)

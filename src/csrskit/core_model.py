@@ -314,9 +314,15 @@ def gas_index(gas: GasDispersion, wavelength_nm: float, pressure_bar: float, tem
 
 
 def marcatili_mode_index(wavelength_nm: float, radius_um: float, mode: ModeLabel) -> float:
-    """Leaky-mode index of a hollow capillary, 1 - (1/2)(j lambda / 2 pi r)^2."""
-    if wavelength_nm <= 0 or radius_um <= 0:
-        raise ValueError("wavelength and radius must be positive")
+    """Leaky-mode index of a hollow capillary, 1 - (1/2)(j lambda / 2 pi r)^2.
+
+    Raises ValueError, naming the argument, unless wavelength_nm and
+    radius_um are positive and finite.
+    """
+    if not 0.0 < wavelength_nm < math.inf:  # nan included
+        raise ValueError(f"wavelength_nm must be positive and finite, got {wavelength_nm!r}")
+    if not 0.0 < radius_um < math.inf:
+        raise ValueError(f"radius_um must be positive and finite, got {radius_um!r}")
     u = mode.bessel_zero * (wavelength_nm * 1e-9) / (2.0 * math.pi * radius_um * 1e-6)
     return 1.0 - 0.5 * u * u
 

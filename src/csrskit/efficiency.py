@@ -25,13 +25,18 @@ Powers are multiplied by their incoupling fractions before use.
 Efficiencies are returned as fractions; a result above 1 signals that
 the undepleted-pump assumption broke down and raises a
 ModelValidityWarning rather than being clamped.
+
+A LightField converts its attenuation to 1/m and applies its incoupling
+once, when it is built, and an EfficiencyModel converts its signal
+attenuation once; the per-length entry points read those stored values,
+so a sweep over lengths makes no dB conversion.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "LOSS_VARIANTS",
@@ -65,15 +70,40 @@ class UnboundedOptimumError(RuntimeError):
 
 
 def alpha_linear(alpha_db_per_m: float) -> float:
-    """Convert a power attenuation from dB/m to 1/m."""
-    if alpha_db_per_m < 0:
-        raise ValueError("attenuation must be non-negative")
+    """Convert a power attenuation from dB/m to 1/m.
+
+    Raises ValueError unless alpha_db_per_m is finite and non-negative.
+    """
+    if not 0.0 <= alpha_db_per_m < math.inf:  # nan included
+        raise ValueError(f"alpha_db_per_m must be non-negative and finite, got {alpha_db_per_m!r}")
     return alpha_db_per_m * _LN10 / 10.0
 
 
+class _DerivedState:
+    """Base of a frozen dataclass whose __post_init__ also stores values
+    derived from the fields, as non-field attributes.
+
+    Equality, hash and repr read only the fields.  The pickled and copied
+    state holds only the fields too, as it did before any value was
+    stored, and loading it runs __post_init__ again, so a copy checks and
+    derives its own values and a pickle written without them still loads.
+    """
+
+    def __getstate__(self) -> dict:
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+
 @dataclass(frozen=True)
-class LightField:
-    """One beam: vacuum wavelength, launched power, loss and incoupling."""
+class LightField(_DerivedState):
+    """One beam: vacuum wavelength, launched power, loss and incoupling.
+
+    coupled_power_w, the power inside the fiber (power_w * incoupling), is
+    stored when the field is built, as is the attenuation in 1/m.
+    """
 
     wavelength_nm: float
     power_w: float
@@ -89,15 +119,17 @@ class LightField:
             raise ValueError(f"attenuation_db_per_m must be non-negative and finite, got {self.attenuation_db_per_m!r}")
         if not 0.0 <= self.incoupling <= 1.0:
             raise ValueError("incoupling must lie in [0, 1]")
-
-    @property
-    def coupled_power_w(self) -> float:
-        return self.power_w * self.incoupling
+        object.__setattr__(self, "coupled_power_w", self.power_w * self.incoupling)
+        object.__setattr__(self, "_alpha_per_m", alpha_linear(self.attenuation_db_per_m))
 
 
 @dataclass(frozen=True)
-class EfficiencyModel:
-    """Lumped coefficient C in % / (W^2 m^2), loss variant, signal loss."""
+class EfficiencyModel(_DerivedState):
+    """Lumped coefficient C in % / (W^2 m^2), loss variant, signal loss.
+
+    C as a fraction (C / 100) and the signal attenuation in 1/m are stored
+    when the model is built.
+    """
 
     coefficient_pct_per_w2m2: float
     loss_variant: str = "lumped-exponential"
@@ -114,6 +146,38 @@ class EfficiencyModel:
             raise ValueError(
                 f"signal_attenuation_db_per_m must be non-negative and finite, got {self.signal_attenuation_db_per_m!r}"
             )
+        object.__setattr__(self, "_fraction_per_w2m2", self.coefficient_pct_per_w2m2 / 100.0)
+        object.__setattr__(self, "_signal_alpha_per_m", alpha_linear(self.signal_attenuation_db_per_m))
+
+
+def _efficiency(model: EfficiencyModel, p1_w: float, p2_w: float, a1: float, a2: float, ap: float, length_m: float) -> float:
+    """The model's loss-variant formula on linear attenuations (1/m) of the
+    two pumps and the probe; the model holds the signal's.  The one length
+    check of the module."""
+    if not 0.0 < length_m < math.inf:
+        raise ValueError(f"length_m must be positive and finite, got {length_m!r}")
+    base = model._fraction_per_w2m2 * p1_w * p2_w
+    variant = model.loss_variant
+    if variant == "lossless":
+        return base * length_m**2
+    a_s = model._signal_alpha_per_m
+    if variant == "lumped-exponential":
+        return base * length_m**2 * math.exp(-(a1 + a2 + ap + a_s) * length_m)
+    # amplitude-integral
+    a = 0.5 * (a1 + a2 + ap - a_s)
+    growth = length_m if a == 0.0 else -math.expm1(-a * length_m) / a
+    return base * math.exp(-a_s * length_m) * growth**2
+
+
+def _warn_above_unity(eta: float) -> None:
+    """Raise the ModelValidityWarning of an efficiency above 1, attributed to
+    the caller of the public function that calls this."""
+    warnings.warn(
+        f"predicted efficiency {eta:.3g} exceeds 1; the undepleted-pump model is "
+        "not valid at this operating point",
+        ModelValidityWarning,
+        stacklevel=3,
+    )
 
 
 def efficiency_from_powers(
@@ -127,44 +191,14 @@ def efficiency_from_powers(
 ) -> float:
     """Efficiency (fraction) from coupled pump powers and beam attenuations in dB/m.
 
-    The model's loss-variant formula with no input checks and no
-    ModelValidityWarning; predicted_efficiency and the other public
-    entry points check their inputs and call it.  p1_w and p2_w are the
-    powers inside the fiber, incoupling already applied.
+    The model's loss-variant formula with no ModelValidityWarning.  p1_w
+    and p2_w are the powers inside the fiber, incoupling already applied.
+    Raises ValueError, naming the argument, unless length_m is positive
+    and finite and each attenuation is finite and non-negative.
     """
-    base = model.coefficient_pct_per_w2m2 / 100.0 * p1_w * p2_w
-    a1 = alpha_linear(alpha1_db)
-    a2 = alpha_linear(alpha2_db)
-    ap = alpha_linear(alpha_probe_db)
-    a_s = alpha_linear(model.signal_attenuation_db_per_m)
-    if model.loss_variant == "lossless":
-        return base * length_m**2
-    if model.loss_variant == "lumped-exponential":
-        return base * length_m**2 * math.exp(-(a1 + a2 + ap + a_s) * length_m)
-    # amplitude-integral
-    a = 0.5 * (a1 + a2 + ap - a_s)
-    if a == 0.0:
-        growth = length_m
-    else:
-        growth = -math.expm1(-a * length_m) / a
-    return base * math.exp(-a_s * length_m) * growth**2
-
-
-def _checked_efficiency(
-    model: EfficiencyModel, p1_w: float, p2_w: float, a1_db: float, a2_db: float, ap_db: float, length_m: float
-) -> float:
-    """efficiency_from_powers at a checked length, warning with ModelValidityWarning above 1."""
-    if not 0.0 < length_m < math.inf:
-        raise ValueError(f"length_m must be positive and finite, got {length_m!r}")
-    eta = efficiency_from_powers(model, p1_w, p2_w, a1_db, a2_db, ap_db, length_m)
-    if eta > 1.0:
-        warnings.warn(
-            f"predicted efficiency {eta:.3g} exceeds 1; the undepleted-pump model is "
-            "not valid at this operating point",
-            ModelValidityWarning,
-            stacklevel=3,
-        )
-    return eta
+    return _efficiency(
+        model, p1_w, p2_w, alpha_linear(alpha1_db), alpha_linear(alpha2_db), alpha_linear(alpha_probe_db), length_m
+    )
 
 
 def predicted_efficiency(
@@ -178,16 +212,20 @@ def predicted_efficiency(
 
     Warns with ModelValidityWarning when the result exceeds 1; the value
     is returned unclamped so the breakdown is visible to the caller.
+    Raises ValueError unless length_m is positive and finite.
     """
-    return _checked_efficiency(
+    eta = _efficiency(
         model,
         pump1.coupled_power_w,
         pump2.coupled_power_w,
-        pump1.attenuation_db_per_m,
-        pump2.attenuation_db_per_m,
-        probe.attenuation_db_per_m,
+        pump1._alpha_per_m,
+        pump2._alpha_per_m,
+        probe._alpha_per_m,
         length_m,
     )
+    if eta > 1.0:
+        _warn_above_unity(eta)
+    return eta
 
 
 def max_power_efficiency(
@@ -205,15 +243,18 @@ def max_power_efficiency(
     treated as loss-free with unit incoupling, so the result reduces to
     the per-W^2 coefficient at this length times P1 P2.
     """
-    return _checked_efficiency(
+    eta = _efficiency(
         model,
         p1_max_w * (pump1.incoupling if pump1 is not None else 1.0),
         p2_max_w * (pump2.incoupling if pump2 is not None else 1.0),
-        pump1.attenuation_db_per_m if pump1 is not None else 0.0,
-        pump2.attenuation_db_per_m if pump2 is not None else 0.0,
-        probe.attenuation_db_per_m if probe is not None else 0.0,
+        pump1._alpha_per_m if pump1 is not None else 0.0,
+        pump2._alpha_per_m if pump2 is not None else 0.0,
+        probe._alpha_per_m if probe is not None else 0.0,
         length_m,
     )
+    if eta > 1.0:
+        _warn_above_unity(eta)
+    return eta
 
 
 @dataclass(frozen=True)
@@ -240,9 +281,8 @@ def optimal_length(
     OverflowError when the attenuations are so small that the optimum
     length or its efficiency is too large for a float.
     """
-    db = (pump1.attenuation_db_per_m, pump2.attenuation_db_per_m, probe.attenuation_db_per_m)
-    a1, a2, ap = (alpha_linear(x) for x in db)
-    a_s = alpha_linear(model.signal_attenuation_db_per_m)
+    a1, a2, ap = pump1._alpha_per_m, pump2._alpha_per_m, probe._alpha_per_m
+    a_s = model._signal_alpha_per_m
     if model.loss_variant == "lossless":
         raise UnboundedOptimumError("lossless efficiency grows quadratically without bound")
     if model.loss_variant == "lumped-exponential":
@@ -256,7 +296,7 @@ def optimal_length(
         length = 2.0 / a_s if a == 0.0 else math.log1p(2.0 * a / a_s) / a
     if not math.isfinite(length):
         raise OverflowError("the optimum length overflows")
-    efficiency = efficiency_from_powers(model, pump1.coupled_power_w, pump2.coupled_power_w, *db, length)
+    efficiency = _efficiency(model, pump1.coupled_power_w, pump2.coupled_power_w, a1, a2, ap, length)
     return LengthOptimum(length_m=length, efficiency=efficiency)
 
 
@@ -293,13 +333,27 @@ def loss_bookkeeping(
 
     Solves exp(-alpha_total_linear * L) = per_w2 / (C * L^2) for the total
     attenuation, then attributes to the signal whatever the three
-    measured beam losses do not account for.
+    measured beam losses do not account for.  Raises ValueError, naming
+    the argument, unless the coefficient, per_w2_pct and length_m are
+    positive and finite and the three beam attenuations are finite.
     """
-    if length_m <= 0:
-        raise ValueError("length must be positive")
+    for name, value in (
+        ("coefficient_pct_per_w2m2", coefficient_pct_per_w2m2),
+        ("per_w2_pct", per_w2_pct),
+        ("length_m", length_m),
+    ):
+        if not 0.0 < value < math.inf:  # nan included
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    for name, value in (
+        ("alpha_pump1_db", alpha_pump1_db),
+        ("alpha_pump2_db", alpha_pump2_db),
+        ("alpha_probe_db", alpha_probe_db),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     survival = per_w2_pct / (coefficient_pct_per_w2m2 * length_m**2)
-    if survival <= 0:
-        raise ValueError("per-W^2 efficiency and coefficient must be positive")
+    if survival == 0.0:
+        raise ValueError("per_w2_pct / (coefficient_pct_per_w2m2 * length_m^2) underflows to 0")
     total_linear = -math.log(survival) / length_m
     total_db = total_linear * 10.0 / _LN10
     return LossBookkeeping(

@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from csrskit.efficiency import EfficiencyModel, efficiency_from_powers
+from csrskit.efficiency import EfficiencyModel, _efficiency
 
 __all__ = [
     "DataSeries",
@@ -237,18 +237,9 @@ def fit_efficiency_length(series: DataSeries, model, pump1, pump2, probe) -> Fit
         loss_variant=model.loss_variant,
         signal_attenuation_db_per_m=model.signal_attenuation_db_per_m,
     )
-    shape = [
-        efficiency_from_powers(
-            unit,
-            pump1.coupled_power_w,
-            pump2.coupled_power_w,
-            pump1.attenuation_db_per_m,
-            pump2.attenuation_db_per_m,
-            probe.attenuation_db_per_m,
-            length,
-        )
-        for length in x
-    ]
+    p1, p2 = pump1.coupled_power_w, pump2.coupled_power_w
+    a1, a2, ap = pump1._alpha_per_m, pump2._alpha_per_m, probe._alpha_per_m  # stored by LightField, in 1/m
+    shape = [_efficiency(unit, p1, p2, a1, a2, ap, length) for length in x]
     denom = sum(wi * (s * s) for wi, s in zip(w, shape))
     if denom == 0:
         raise ValueError("model shape vanishes at every supplied length")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from csrskit import bendloss
 from csrskit.bendloss import (
     NoResonanceError,
     capillary_center_distance,
@@ -134,3 +135,113 @@ class TestModeAccessibility:
         # LP01 against the capillary fundamental has a ~1.2 m critical radius
         assert flags[LP01].suppressed
         assert flags[LP01].limiting_radius_m > 1.0
+
+
+class TestNonFiniteInput:
+    """Each case returned a number or the wrong error before it was named."""
+
+    def test_nan_bend_radius(self):
+        # reported LP01 as accessible
+        with pytest.raises(ValueError, match="^bend_radius_m must be positive, got nan"):
+            mode_accessibility(make_geom(), 914.0, math.nan)
+
+    def test_straight_fiber_is_valid(self):
+        flags = mode_accessibility(make_geom(), 914.0, math.inf)
+        assert not any(a.suppressed for a in flags)
+        assert flags[0].limiting_radius_m == critical_bend_radius(make_geom(), 914.0)
+
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, 0.0])
+    def test_bad_wavelength_in_accessibility_before_the_cache(self, wavelength):
+        # nan gave a nan limiting radius and "not suppressed"
+        before = bendloss._cached_critical_radius.cache_info()
+        with pytest.raises(ValueError, match=f"^wavelength_nm must be positive and finite, got {wavelength!r}"):
+            mode_accessibility(make_geom(), wavelength, 0.3)
+        with pytest.raises(ValueError, match="^wavelength_nm"):  # no pairing to evaluate: still checked
+            mode_accessibility(make_geom(), wavelength, 0.3, cladding_pairs={})
+        assert bendloss._cached_critical_radius.cache_info() == before
+
+    def test_nan_wavelength_in_critical_radius(self):
+        with pytest.raises(ValueError, match="^wavelength_nm must be positive and finite, got nan"):
+            critical_bend_radius(make_geom(), math.nan)
+
+    def test_infinite_wavelength_is_named_not_a_missing_resonance(self):
+        # raised NoResonanceError "n = -inf"
+        with pytest.raises(ValueError, match="^wavelength_nm must be positive and finite, got inf") as info:
+            critical_bend_radius(make_geom(), math.inf)
+        assert not isinstance(info.value, NoResonanceError)
+
+    @pytest.mark.parametrize("wavelength", [math.nan, math.inf, -914.0])
+    def test_marcatili_index_wavelength(self, wavelength):
+        with pytest.raises(ValueError, match=f"^wavelength_nm must be positive and finite, got {wavelength!r}"):
+            marcatili_mode_index(wavelength, 23.0, LP01)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0])
+    def test_marcatili_index_radius(self, radius):
+        with pytest.raises(ValueError, match=f"^radius_um must be positive and finite, got {radius!r}"):
+            marcatili_mode_index(914.0, radius, LP01)
+
+    @pytest.mark.parametrize("azimuth", [math.nan, math.inf])
+    def test_angle_resolved_azimuth(self, azimuth):
+        # returned nan
+        with pytest.raises(ValueError, match=f"^azimuth_rad must be finite, got {azimuth!r}"):
+            capillary_center_distance(make_geom(), "angle-resolved", azimuth)
+        assert capillary_center_distance(make_geom(), "worst-case", azimuth) == pytest.approx(41.3)
+
+
+class TestCriticalRadiusCache:
+    """mode_accessibility takes critical radii from a cache keyed by value."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch) -> list:
+        """Every critical radius actually computed, counted at the module
+        attribute that a cache miss calls."""
+        bendloss._cached_critical_radius.cache_clear()
+        calls = []
+        solve = bendloss.critical_bend_radius
+        monkeypatch.setattr(bendloss, "critical_bend_radius", lambda *a: calls.append(a) or solve(*a))
+        return calls
+
+    def test_matches_the_uncached_radius(self, computed):
+        pairs = {LP01: (LP01, LP11, ModeLabel(0, 2)), LP11: (LP01, ModeLabel(2, 1))}
+        for r_cap in (12.0, 18.3, 22.9):
+            geom = make_geom(r_cap)
+            for lam in (532.0, 914.0, 1550.0):
+                for access in mode_accessibility(geom, lam, 0.3, cladding_pairs=pairs):
+                    expected = {}
+                    for clad in pairs[access.mode]:
+                        try:
+                            expected[clad] = critical_bend_radius(geom, lam, access.mode, clad)
+                        except NoResonanceError:
+                            pass
+                    assert access.critical_radii_m == expected
+                    assert access.limiting_radius_m == (max(expected.values()) if expected else None)
+
+    def test_a_bend_sweep_computes_the_radius_once(self, computed):
+        geom = make_geom()
+        sweep = [mode_accessibility(geom, 914.0, 0.05 + 0.01 * k) for k in range(56)]
+        assert len(computed) == 1  # it was 56
+        assert [a[0].suppressed for a in sweep] == [0.05 + 0.01 * k < sweep[0][0].limiting_radius_m for k in range(56)]
+
+    def test_an_equal_but_distinct_geometry_hits(self, computed):
+        mode_accessibility(make_geom(), 914.0, 0.3)
+        mode_accessibility(make_geom(), 914.0, 0.4)
+        assert len(computed) == 1
+        mode_accessibility(make_geom(18.4), 914.0, 0.3)
+        mode_accessibility(make_geom(), 1550.0, 0.3)
+        assert len(computed) == 3
+
+    def test_no_resonance_is_not_cached(self, computed):
+        geom = FiberGeometry(23.0, 23.0, 1.28, 7, 1.444)  # LP01/LP01 has no resonance
+        for _ in range(3):
+            (access,) = mode_accessibility(geom, 914.0, 0.3, modes=(LP01,), cladding_pairs={LP01: (LP01,)})
+            assert access.critical_radii_m == {} and access.limiting_radius_m is None
+        assert len(computed) == 3
+
+    def test_each_call_gets_its_own_results(self, computed):
+        first = mode_accessibility(make_geom(), 914.0, 0.3, is_probe=True)
+        first[0].critical_radii_m[LP11] = -1.0
+        first[0].critical_radii_m[LP01] = 5.0
+        second = mode_accessibility(make_geom(), 914.0, 0.3, is_probe=True)
+        assert second[0].critical_radii_m == {LP11: critical_bend_radius(make_geom(), 914.0)}
+        assert second[0] is not first[0] and second[0].critical_radii_m is not first[0].critical_radii_m
+        assert isinstance(second[0].annotations, tuple) and second[1].annotations == ()

@@ -1,21 +1,29 @@
+import copy
 import math
+import pickle
+import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csrskit import efficiency
 from csrskit.efficiency import (
+    LOSS_VARIANTS,
     EfficiencyModel,
     LightField,
     ModelValidityWarning,
     UnboundedOptimumError,
     alpha_linear,
+    efficiency_from_powers,
     loss_bookkeeping,
     max_power_efficiency,
     optimal_length,
     predicted_efficiency,
     project_length_scaling,
 )
+from csrskit.fitting import DataSeries, fit_efficiency_length
 
 LN10 = math.log(10.0)
 
@@ -54,6 +62,12 @@ class TestAlphaLinear:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             alpha_linear(-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_is_named(self, value):
+        # nan and inf were passed through as nan and inf
+        with pytest.raises(ValueError, match=f"^alpha_db_per_m must be non-negative and finite, got {value!r}"):
+            alpha_linear(value)
 
 
 class TestPredictedEfficiency:
@@ -183,6 +197,8 @@ def test_length_outside_zero_to_infinity_is_named(length):
         predicted_efficiency(model, *fields(), length)
     with pytest.raises(ValueError, match=message):
         max_power_efficiency(model, 15.0, 8.0, length)
+    with pytest.raises(ValueError, match=message):  # the formula itself now checks the length
+        efficiency_from_powers(model, 3.0, 3.0, 0.1, 0.1, 0.1, length)
 
 
 class TestOptimalLength:
@@ -266,6 +282,22 @@ class TestLossBookkeeping:
         pump1, pump2, probe = fields(a1=0.07, a2=0.37, ap=0.93)
         eta = predicted_efficiency(model, pump1, pump2, probe, 1.85)
         assert eta * 100 == pytest.approx(0.006 * 9.0, rel=1e-9)
+
+
+    @pytest.mark.parametrize("name", ["per_w2_pct", "length_m", "coefficient_pct_per_w2m2"])
+    def test_nan_input_is_named(self, name):
+        # a nan per_w2_pct or length_m returned an all-nan result
+        args = dict(
+            coefficient_pct_per_w2m2=0.0044, per_w2_pct=0.006, length_m=1.85, alpha_pump1_db=0.07,
+            alpha_pump2_db=0.37, alpha_probe_db=0.93,
+        )  # fmt: skip
+        args[name] = math.nan
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got nan"):
+            loss_bookkeeping(**args)
+
+    def test_non_finite_beam_attenuation_is_named(self):
+        with pytest.raises(ValueError, match="^alpha_probe_db must be finite, got inf"):
+            loss_bookkeeping(0.0044, 0.006, 1.85, 0.07, 0.37, math.inf)
 
 
 class TestScalingProjection:
@@ -360,3 +392,170 @@ class TestFieldValidation:
     def test_zero_power_and_attenuation_stay_valid(self):
         assert LightField(914.0, 0.0, 0.0).coupled_power_w == 0.0
         assert EfficiencyModel(0.0044, "lumped-exponential", 0.0).signal_attenuation_db_per_m == 0.0
+
+
+# -- stored attenuations: the same numbers as the dB-domain formulas ----------
+
+
+def _db_domain_efficiency(variant, c_pct, p1, p2, a1_db, a2_db, ap_db, as_db, length):
+    """The loss-variant formulas as they read when every call converted its
+    attenuations from dB/m, kept here as the reference for the stored values."""
+    base = c_pct / 100.0 * p1 * p2
+    a1, a2, ap, a_s = (x * LN10 / 10.0 for x in (a1_db, a2_db, ap_db, as_db))
+    if variant == "lossless":
+        return base * length**2
+    if variant == "lumped-exponential":
+        return base * length**2 * math.exp(-(a1 + a2 + ap + a_s) * length)
+    a = 0.5 * (a1 + a2 + ap - a_s)
+    growth = length if a == 0.0 else -math.expm1(-a * length) / a
+    return base * math.exp(-a_s * length) * growth**2
+
+
+def _db_domain_optimal_length(variant, a1_db, a2_db, ap_db, as_db):
+    """L* from the dB values, or None where the optimum is unbounded."""
+    a1, a2, ap, a_s = (x * LN10 / 10.0 for x in (a1_db, a2_db, ap_db, as_db))
+    if variant == "lossless":
+        return None
+    if variant == "lumped-exponential":
+        total = a1 + a2 + ap + a_s
+        return None if total == 0.0 else 2.0 / total
+    if a_s == 0.0 or a1 + a2 + ap == 0.0:
+        return None
+    a = 0.5 * (a1 + a2 + ap - a_s)
+    return 2.0 / a_s if a == 0.0 else math.log1p(2.0 * a / a_s) / a
+
+
+_ATTENUATION = st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=5.0))
+_FIELD = st.builds(
+    LightField,
+    wavelength_nm=st.floats(min_value=400.0, max_value=2000.0),
+    power_w=st.floats(min_value=0.0, max_value=20.0),
+    attenuation_db_per_m=_ATTENUATION,
+    incoupling=st.floats(min_value=0.0, max_value=1.0),
+)
+_MODEL = st.builds(
+    EfficiencyModel,
+    coefficient_pct_per_w2m2=st.floats(min_value=1e-4, max_value=10.0),
+    loss_variant=st.sampled_from(LOSS_VARIANTS),
+    signal_attenuation_db_per_m=_ATTENUATION,
+)
+_LENGTH = st.floats(min_value=1e-3, max_value=50.0)
+
+
+def _hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+@given(model=_MODEL, pump1=_FIELD, pump2=_FIELD, probe=_FIELD, lengths=st.lists(_LENGTH, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_stored_attenuations_give_the_db_domain_numbers_bit_for_bit(model, pump1, pump2, probe, lengths):
+    db = (pump1.attenuation_db_per_m, pump2.attenuation_db_per_m, probe.attenuation_db_per_m)
+    as_db = model.signal_attenuation_db_per_m
+    c, variant = model.coefficient_pct_per_w2m2, model.loss_variant
+    p1 = pump1.power_w * pump1.incoupling
+    p2 = pump2.power_w * pump2.incoupling
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelValidityWarning)
+        for length in lengths:
+            expected = _db_domain_efficiency(variant, c, p1, p2, *db, as_db, length)
+            assert _hexes(predicted_efficiency(model, pump1, pump2, probe, length)) == _hexes(expected)
+            assert _hexes(efficiency_from_powers(model, p1, p2, *db, length)) == _hexes(expected)
+            got = max_power_efficiency(model, pump1.power_w, pump2.power_w, length, pump1, pump2, probe)
+            assert _hexes(got) == _hexes(expected)
+            bare = _db_domain_efficiency(variant, c, pump1.power_w, pump2.power_w, 0.0, 0.0, 0.0, as_db, length)
+            assert _hexes(max_power_efficiency(model, pump1.power_w, pump2.power_w, length)) == _hexes(bare)
+    length = _db_domain_optimal_length(variant, *db, as_db)
+    if length is None:
+        with pytest.raises(UnboundedOptimumError):
+            optimal_length(model, pump1, pump2, probe)
+    else:
+        result = optimal_length(model, pump1, pump2, probe)
+        eta = _db_domain_efficiency(variant, c, p1, p2, *db, as_db, length)
+        assert _hexes(result.length_m, result.efficiency) == _hexes(length, eta)
+
+
+@given(
+    model=_MODEL,
+    pump1=_FIELD.filter(lambda f: f.power_w * f.incoupling > 0.0),
+    pump2=_FIELD.filter(lambda f: f.power_w * f.incoupling > 0.0),
+    probe=_FIELD,
+    points=st.lists(st.tuples(_LENGTH, st.floats(min_value=1e-6, max_value=1.0)), min_size=2, max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_efficiency_fit_gives_the_db_domain_numbers_bit_for_bit(model, pump1, pump2, probe, points):
+    x, y = [p[0] for p in points], [p[1] for p in points]
+    db = (pump1.attenuation_db_per_m, pump2.attenuation_db_per_m, probe.attenuation_db_per_m)
+    p1 = pump1.power_w * pump1.incoupling
+    p2 = pump2.power_w * pump2.incoupling
+    shape = [
+        _db_domain_efficiency(model.loss_variant, 1.0, p1, p2, *db, model.signal_attenuation_db_per_m, length)
+        for length in x
+    ]
+    denom = sum(s * s for s in shape)
+    if denom == 0.0:
+        return  # the fit rejects a vanishing shape
+    coeff = sum(s * yi for s, yi in zip(shape, y)) / denom
+    wrss = 0.0
+    for s, yi in zip(shape, y):
+        r = yi - coeff * s
+        wrss += r * r
+    fit = fit_efficiency_length(DataSeries(x, y), model, pump1, pump2, probe)
+    se = math.sqrt((wrss / (len(x) - 1)) / denom)
+    got = (fit.parameters["coefficient_pct_per_w2m2"], fit.standard_errors["coefficient_pct_per_w2m2"])
+    assert _hexes(*got, fit.residual_norm) == _hexes(coeff, se, math.sqrt(wrss))
+
+
+_VALUES = [
+    LightField(914.0, 0.5, 0.93, 0.8),
+    LightField(1550.0, 3.0),
+    EfficiencyModel(0.0044, "amplitude-integral", 0.79),
+    EfficiencyModel(0.0044),
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=repr)
+def test_stored_values_leave_the_value_semantics_alone(value):
+    # equality, hash and repr see the fields only
+    twin = replace(value)
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+    assert "_alpha" not in repr(value) and "coupled_power_w" not in repr(value)
+    # a copy or a pickle carries the fields, and the loaded value derives its own stored values
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert other == value and hash(other) == hash(value) and repr(other) == repr(value)
+        assert other.__dict__ == value.__dict__
+    assert pickle.dumps(value).count(b"_alpha") == 0
+    assert set(value.__getstate__()) == {f for f in type(value).__dataclass_fields__}
+
+
+def test_a_replaced_value_recomputes_its_stored_values():
+    field = LightField(914.0, 0.5, 0.93, 0.8)
+    moved = replace(field, attenuation_db_per_m=0.07, incoupling=0.5)
+    assert moved._alpha_per_m == alpha_linear(0.07) and moved.coupled_power_w == 0.25
+    model = EfficiencyModel(0.0044, "lumped-exponential", 0.79)
+    moved = replace(model, signal_attenuation_db_per_m=0.1, coefficient_pct_per_w2m2=0.5)
+    assert moved._signal_alpha_per_m == alpha_linear(0.1) and moved._fraction_per_w2m2 == 0.005
+    with pytest.raises(ValueError, match="^attenuation_db_per_m must be non-negative"):
+        replace(field, attenuation_db_per_m=math.nan)
+
+
+def _count_alpha_linear(monkeypatch) -> list:
+    calls = []
+    convert = efficiency.alpha_linear
+    monkeypatch.setattr(efficiency, "alpha_linear", lambda db: calls.append(db) or convert(db))
+    return calls
+
+
+def test_an_efficiency_sweep_converts_no_attenuation(monkeypatch):
+    """A 100-point sweep reads the attenuations stored when the fields and
+    the model were built: no dB conversion per length (it made 400)."""
+    calls = _count_alpha_linear(monkeypatch)
+    flds = fields(a1=0.07, a2=0.37, ap=0.93)
+    models = [EfficiencyModel(0.0044, variant, 0.79) for variant in LOSS_VARIANTS]
+    assert len(calls) == 3 + len(LOSS_VARIANTS)  # one conversion per object
+    del calls[:]
+    for model in models:
+        sweep = [predicted_efficiency(model, *flds, 0.1 + 0.25 * k) for k in range(100)]
+        assert len(sweep) == 100 and calls == []
+        if model.loss_variant != "lossless":
+            optimal_length(model, *flds)
+            assert calls == []
