@@ -184,34 +184,43 @@ def fit_cutback(series: DataSeries) -> FitResult:
     """Least-squares line through (length m, transmission dB) cut-back data.
 
     Returns alpha_db_per_m (positive for decaying transmission) and
-    intercept_db.
+    intercept_db.  The normal equations are accumulated about the
+    weighted means of x and y, so the size of the intercept adds no
+    rounding to the slope or the standard errors: the exact line
+    y = 9x - 72 fits with standard errors of exactly 0.
     """
     if len(series) < 3:
         raise ValueError("cut-back fit needs at least 3 points")
     x, y, w = _reals(series.x, "x"), _reals(series.y, "y"), series.weights
     if max(x) == min(x):
         raise ValueError("cut-back fit needs at least two distinct lengths")
-    swxx = swx = sw = swxy = swy = 0.0
+    sw = swx = swy = 0.0
     for xi, yi, wi in zip(x, y, w):
-        wx = xi * wi
-        swxx += wx * xi
-        swx += wx
         sw += wi
-        swxy += wx * yi
+        swx += wi * xi
         swy += wi * yi
-    normal = [[swxx, swx], [swx, sw]]
-    (solution,), singular = _solve(normal, [[swxy, swy]])
-    if singular:
+    x_mean, y_mean = swx / sw, swy / sw
+    suu = suv = 0.0
+    for xi, yi, wi in zip(x, y, w):
+        wu = wi * (xi - x_mean)
+        suu += wu * (xi - x_mean)
+        suv += wu * (yi - y_mean)
+    if suu == 0.0:
         raise ValueError("cut-back fit: the normal equations are singular")
-    slope, intercept = solution
+    slope = suv / suu
+    intercept = y_mean - slope * x_mean
     wrss = 0.0
     for xi, yi, wi in zip(x, y, w):
         r = yi - (slope * xi + intercept)
         wrss += wi * (r * r)
-    errors = _standard_errors(("alpha_db_per_m", "intercept_db"), normal, wrss, len(x) - 2)
+    # the centred system is diagonal: var(slope) = s^2 / suu, var(intercept) = s^2 (1/sw + mean^2 / suu)
+    variance = wrss / (len(x) - 2)
     return FitResult(
         parameters={"alpha_db_per_m": -slope, "intercept_db": intercept},
-        standard_errors=errors,
+        standard_errors={
+            "alpha_db_per_m": math.sqrt(variance / suu),
+            "intercept_db": math.sqrt(variance * (1.0 / sw + x_mean * x_mean / suu)),
+        },
         residual_norm=math.sqrt(wrss),
         converged=True,
         iterations=1,
