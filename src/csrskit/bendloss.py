@@ -186,7 +186,9 @@ _RADIUS_CACHE_SIZE = 32
 
 
 @lru_cache(maxsize=_RADIUS_CACHE_SIZE)
-def _cached_critical_radius(geom: FiberGeometry, wavelength_nm: float, core_mode: ModeLabel, clad_mode: ModeLabel) -> float:
+def _cached_critical_radius(
+    geom: FiberGeometry, wavelength_nm: float, core_mode: ModeLabel, clad_mode: ModeLabel
+) -> float:
     # a miss calls critical_bend_radius through the module namespace, so a
     # wrapper installed there sees every radius actually computed
     return critical_bend_radius(geom, wavelength_nm, core_mode, clad_mode)

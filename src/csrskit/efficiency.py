@@ -150,7 +150,9 @@ class EfficiencyModel(_DerivedState):
         object.__setattr__(self, "_signal_alpha_per_m", alpha_linear(self.signal_attenuation_db_per_m))
 
 
-def _efficiency(model: EfficiencyModel, p1_w: float, p2_w: float, a1: float, a2: float, ap: float, length_m: float) -> float:
+def _efficiency(
+    model: EfficiencyModel, p1_w: float, p2_w: float, a1: float, a2: float, ap: float, length_m: float
+) -> float:
     """The model's loss-variant formula on linear attenuations (1/m) of the
     two pumps and the probe; the model holds the signal's.  The one length
     check of the module."""
@@ -193,8 +195,8 @@ def efficiency_from_powers(
 
     The model's loss-variant formula with no ModelValidityWarning.  p1_w
     and p2_w are the powers inside the fiber, incoupling already applied.
-    Raises ValueError, naming the argument, unless length_m is positive
-    and finite and each attenuation is finite and non-negative.
+    Raises ValueError unless length_m is positive and finite and each
+    attenuation is finite and non-negative.
     """
     return _efficiency(
         model, p1_w, p2_w, alpha_linear(alpha1_db), alpha_linear(alpha2_db), alpha_linear(alpha_probe_db), length_m
