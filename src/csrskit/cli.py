@@ -36,7 +36,6 @@ from csrskit.efficiency import (
     loss_bookkeeping,
     optimal_length,
     predicted_efficiency,
-    project_length_scaling,
 )
 from csrskit.phasematch import (
     NoConvergenceError,
@@ -255,29 +254,6 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
         extra.append(f"per_w2_pct_at_configured_length: {_fmt(per_w2_pct)}")
         extra.append(f"bookkeeping_total_attenuation_db_per_m: {_fmt(book.total_attenuation_db_per_m)}")
         extra.append(f"bookkeeping_signal_attenuation_db_per_m: {_fmt(book.signal_attenuation_db_per_m)}")
-
-    projection = config.projection()
-    if projection is not None:
-        try:
-            report = project_length_scaling(
-                coefficient_pct_per_w2m2=model.coefficient_pct_per_w2m2,
-                pump1_power_w=projection["pump1_power_w"],
-                pump2_power_w=projection["pump2_power_w"],
-                attenuation_db_per_m=projection["attenuation_db_per_m"],
-                incoupling=projection["incoupling"],
-                reference_length_m=projection["reference_length_m"],
-                reference_efficiency=projection["reference_efficiency"],
-            )
-        except (OverflowError, UnboundedOptimumError) as exc:
-            raise ValueError(f"projection.{exc}") from None
-        extra.append(f"projection_optimal_length_m: {_fmt(report.optimal_length_m)}")
-        extra.append(f"projection_efficiency_at_optimum: {_fmt(report.efficiency_at_optimum)}")
-        if report.reference_length_m is not None:
-            extra.append(f"projection_efficiency_at_reference_length: {_fmt(report.efficiency_at_reference_length)}")
-            extra.append(f"projection_reference_length_m: {_fmt(report.reference_length_m)}")
-        if report.reference_efficiency is not None:
-            extra.append(f"projection_reference_efficiency: {_fmt(report.reference_efficiency)}")
-        extra.append(f"projection_note: {report.note}")
 
     path = out_dir / "efficiency_vs_length.csv"
     _write_table(path, config, "efficiency", args.seed, ("length_m", "efficiency"), rows, extra_meta=extra)

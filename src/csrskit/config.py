@@ -4,8 +4,9 @@ Six blocks describe one conversion setup: fiber (geometry), gas
 (dispersion data and operating temperature), scheme (the four
 wavelengths), model (efficiency coefficient, loss variant, index
 variant), fields (beam powers, attenuations, incoupling, fiber length)
-and screening (bandpass and line catalog).  Optional blocks: sweeps
-(default CLI ranges) and projection (a long-fiber scaling scenario).
+and screening (bandpass and line catalog).  One optional block: sweeps
+(default CLI ranges).  A scenario, such as a long low-loss fiber, is a
+config file of its own, not a block of another one.
 
 One table, SCHEMA, lists every leaf as (dotted path, type, default,
 constraint), and it alone drives the validation: the allowed and
@@ -183,16 +184,10 @@ SCHEMA = (
     Key("sweeps.pressure_bar", _range, OMITTED),
     Key("sweeps.length_m", _range, OMITTED),
     Key("sweeps.radius_m", _range, OMITTED),
-    Key("projection.pump1_power_w", _number, REQUIRED, NON_NEGATIVE),
-    Key("projection.pump2_power_w", _number, REQUIRED, NON_NEGATIVE),
-    Key("projection.attenuation_db_per_m", _number, REQUIRED, NON_NEGATIVE),
-    Key("projection.incoupling", _number, REQUIRED, FRACTION),
-    Key("projection.reference_length_m", _optional_number, None, POSITIVE),
-    Key("projection.reference_efficiency", _optional_number, None),
 )
 
 #: Blocks that may be left out; every other block is required.
-_OPTIONAL_BLOCKS = ("sweeps", "projection")
+_OPTIONAL_BLOCKS = ("sweeps",)
 
 
 def _nest(keys) -> dict:
@@ -329,9 +324,6 @@ class ToolkitConfig:
 
     def sweep(self, name: str) -> list | None:
         return self.tree.get("sweeps", {}).get(name)
-
-    def projection(self) -> dict | None:
-        return self.tree.get("projection")
 
     def with_loss_variant(self, variant: str) -> "ToolkitConfig":
         tree = json.loads(self.normalized_json())

@@ -239,8 +239,13 @@ class FiberGeometry:
     def __post_init__(self) -> None:
         if not isinstance(self.wall_index, (int, float)) and not callable(self.wall_index):
             object.__setattr__(self, "wall_index", tuple(tuple(row) for row in self.wall_index))
-        if self.core_radius_um <= 0 or self.capillary_inner_radius_um <= 0 or self.wall_thickness_um <= 0:
-            raise ValueError("all fiber geometry lengths must be strictly positive")
+        bad = [
+            f"{name} must be positive and finite, got {value!r}"
+            for name in ("core_radius_um", "capillary_inner_radius_um", "wall_thickness_um")
+            if not 0.0 < (value := getattr(self, name)) < math.inf  # nan included
+        ]
+        if bad:
+            raise ValueError("; ".join(bad))
         if self.num_capillaries < 3:
             raise ValueError("num_capillaries must be >= 3")
         if not self.capillary_inner_radius_um < self.core_radius_um * self.num_capillaries:

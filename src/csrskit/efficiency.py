@@ -46,14 +46,11 @@ __all__ = [
     "EfficiencyModel",
     "LengthOptimum",
     "LossBookkeeping",
-    "ScalingProjection",
     "alpha_linear",
-    "efficiency_from_powers",
     "predicted_efficiency",
     "max_power_efficiency",
     "optimal_length",
     "loss_bookkeeping",
-    "project_length_scaling",
 ]
 
 LOSS_VARIANTS = ("lossless", "lumped-exponential", "amplitude-integral")
@@ -182,27 +179,6 @@ def _warn_above_unity(eta: float) -> None:
     )
 
 
-def efficiency_from_powers(
-    model: EfficiencyModel,
-    p1_w: float,
-    p2_w: float,
-    alpha1_db: float,
-    alpha2_db: float,
-    alpha_probe_db: float,
-    length_m: float,
-) -> float:
-    """Efficiency (fraction) from coupled pump powers and beam attenuations in dB/m.
-
-    The model's loss-variant formula with no ModelValidityWarning.  p1_w
-    and p2_w are the powers inside the fiber, incoupling already applied.
-    Raises ValueError unless length_m is positive and finite and each
-    attenuation is finite and non-negative.
-    """
-    return _efficiency(
-        model, p1_w, p2_w, alpha_linear(alpha1_db), alpha_linear(alpha2_db), alpha_linear(alpha_probe_db), length_m
-    )
-
-
 def predicted_efficiency(
     model: EfficiencyModel,
     pump1: LightField,
@@ -243,8 +219,13 @@ def max_power_efficiency(
 
     Optional fields supply attenuation and incoupling; absent fields are
     treated as loss-free with unit incoupling, so the result reduces to
-    the per-W^2 coefficient at this length times P1 P2.
+    the per-W^2 coefficient at this length times P1 P2.  Raises
+    ValueError, naming the argument, unless p1_max_w and p2_max_w are
+    finite and non-negative and length_m is positive and finite.
     """
+    for name, power in (("p1_max_w", p1_max_w), ("p2_max_w", p2_max_w)):
+        if not 0.0 <= power < math.inf:  # nan included
+            raise ValueError(f"{name} must be non-negative and finite, got {power!r}")
     eta = _efficiency(
         model,
         p1_max_w * (pump1.incoupling if pump1 is not None else 1.0),
@@ -288,7 +269,10 @@ def optimal_length(
     if model.loss_variant == "lossless":
         raise UnboundedOptimumError("lossless efficiency grows quadratically without bound")
     if model.loss_variant == "lumped-exponential":
-        length = _lumped_optimal_length(a1 + a2 + ap + a_s)
+        total = a1 + a2 + ap + a_s
+        if total == 0.0:
+            raise UnboundedOptimumError("zero total attenuation leaves the optimum length unbounded")
+        length = 2.0 / total
     elif a_s == 0.0 or a1 + a2 + ap == 0.0:
         raise UnboundedOptimumError(
             "amplitude-integral variant needs both signal and drive attenuation for an interior optimum"
@@ -300,16 +284,6 @@ def optimal_length(
         raise OverflowError("the optimum length overflows")
     efficiency = _efficiency(model, pump1.coupled_power_w, pump2.coupled_power_w, a1, a2, ap, length)
     return LengthOptimum(length_m=length, efficiency=efficiency)
-
-
-def _lumped_optimal_length(total_linear: float) -> float:
-    """L* = 2 / sum(alpha) of the lumped-exponential variant; OverflowError when it is too large for a float."""
-    if total_linear == 0.0:
-        raise UnboundedOptimumError("zero total attenuation leaves the optimum length unbounded")
-    length = 2.0 / total_linear
-    if not math.isfinite(length):
-        raise OverflowError("the optimum length overflows")
-    return length
 
 
 @dataclass(frozen=True)
@@ -363,114 +337,4 @@ def loss_bookkeeping(
         signal_attenuation_db_per_m=total_db - (alpha_pump1_db + alpha_pump2_db + alpha_probe_db),
         length_m=length_m,
         survival_fraction=survival,
-    )
-
-
-@dataclass(frozen=True)
-class ScalingProjection:
-    """Side-by-side of this model's length-scaling optimum and an external
-    reference claim for the same scenario."""
-
-    optimal_length_m: float
-    efficiency_at_optimum: float
-    attenuation_db_per_m: float
-    incoupling: float
-    pump1_power_w: float
-    pump2_power_w: float
-    reference_length_m: float | None
-    reference_efficiency: float | None
-    efficiency_at_reference_length: float | None
-    exceeds_unity: bool
-    note: str
-
-
-def project_length_scaling(
-    coefficient_pct_per_w2m2: float,
-    pump1_power_w: float,
-    pump2_power_w: float,
-    attenuation_db_per_m: float,
-    incoupling: float,
-    reference_length_m: float | None = None,
-    reference_efficiency: float | None = None,
-) -> ScalingProjection:
-    """Long-fiber scaling scenario under the lumped-exponential model.
-
-    A single attenuation value applies to every one of the four beams, so
-    the closed-form optimum is L = 2 / (4 alpha_linear).  Efficiencies are
-    reported unclamped; exceeds_unity records whether the quadratic
-    undepleted model left its validity range, which is the expected
-    outcome of aggressive extrapolations.  Zero attenuation raises
-    UnboundedOptimumError, and an optimum length or efficiency too large
-    for a float raises OverflowError; both messages name the input
-    behind the length: attenuation_db_per_m (the optimum) or
-    reference_length_m.  Raises ValueError, naming the argument, unless
-    attenuation_db_per_m and both pump powers are finite and non-negative,
-    incoupling lies in [0, 1] and reference_length_m, when given, is finite
-    and positive.
-    """
-    if not 0.0 <= attenuation_db_per_m < math.inf:  # nan included
-        raise ValueError(f"attenuation_db_per_m must be non-negative and finite, got {attenuation_db_per_m!r}")
-    for name, power in (("pump1_power_w", pump1_power_w), ("pump2_power_w", pump2_power_w)):
-        if not 0.0 <= power < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {power!r}")
-    if not 0.0 <= incoupling <= 1.0:
-        raise ValueError(f"incoupling must lie in [0, 1], got {incoupling!r}")
-    if reference_length_m is not None and not 0.0 < reference_length_m < math.inf:
-        raise ValueError(f"reference_length_m must be positive and finite, got {reference_length_m!r}")
-    model = EfficiencyModel(
-        coefficient_pct_per_w2m2=coefficient_pct_per_w2m2,
-        loss_variant="lumped-exponential",
-        signal_attenuation_db_per_m=attenuation_db_per_m,
-    )
-    p1 = pump1_power_w * incoupling
-    p2 = pump2_power_w * incoupling
-
-    def eta(length_m: float, source: str) -> float:
-        try:
-            return efficiency_from_powers(
-                model, p1, p2, attenuation_db_per_m, attenuation_db_per_m, attenuation_db_per_m, length_m
-            )
-        except OverflowError:
-            raise OverflowError(f"{source}: the efficiency at {length_m:g} m overflows") from None
-
-    try:
-        l_opt = _lumped_optimal_length(4.0 * alpha_linear(attenuation_db_per_m))
-    except (OverflowError, UnboundedOptimumError) as exc:
-        raise type(exc)(f"attenuation_db_per_m: {exc}") from None
-    eta_opt = eta(l_opt, "attenuation_db_per_m")
-    eta_ref = eta(reference_length_m, "reference_length_m") if reference_length_m is not None else None
-    exceeds = eta_opt > 1.0 or (eta_ref is not None and eta_ref > 1.0)
-
-    parts = [
-        f"lumped-exponential optimum: L = 2 / (4 alpha) = {l_opt:.1f} m "
-        f"with predicted efficiency {eta_opt:.3g}"
-    ]
-    if reference_length_m is not None:
-        parts.append(f"model efficiency at the reference length {reference_length_m:g} m: {eta_ref:.3g}")
-    if reference_length_m is not None or reference_efficiency is not None:
-        ref_bits = []
-        if reference_length_m is not None:
-            ref_bits.append(f"optimum length about {reference_length_m:g} m")
-        if reference_efficiency is not None:
-            ref_bits.append(f"efficiency {reference_efficiency:g}")
-        parts.append("reference claim for this scenario: " + ", ".join(ref_bits))
-    if exceeds:
-        parts.append(
-            "efficiencies above 1 mean the undepleted-pump quadratic scaling has left its "
-            "validity range before the optimum is reached; treat these numbers as upper bounds"
-        )
-    note = "; ".join(parts) + "."
-
-    return ScalingProjection(
-        optimal_length_m=l_opt,
-        efficiency_at_optimum=eta_opt,
-        attenuation_db_per_m=attenuation_db_per_m,
-        incoupling=incoupling,
-        pump1_power_w=pump1_power_w,
-        pump2_power_w=pump2_power_w,
-        reference_length_m=reference_length_m,
-        reference_efficiency=reference_efficiency,
-        efficiency_at_reference_length=eta_ref,
-        exceeds_unity=exceeds,
-        note=note,
     )

@@ -203,14 +203,12 @@ class TestEfficiency:
         _, rows = read_rows(tmp_path / "efficiency_vs_length.csv")
         assert all(float(eta) == 0.0 for _, eta in rows)
 
-    def test_bookkeeping_and_projection_summaries(self, tmp_path):
+    def test_bookkeeping_summaries(self, tmp_path):
         run("--config", SHIPPED, "--out", str(tmp_path), "efficiency")
         text = (tmp_path / "efficiency_vs_length.csv").read_text()
         assert "# bookkeeping_total_attenuation_db_per_m: 2.16" in text
         assert "# bookkeeping_signal_attenuation_db_per_m: 0.79" in text
-        assert "# projection_optimal_length_m: 136.57" in text
-        assert "# projection_reference_length_m: 21" in text
-        assert "# projection_note:" in text and "validity" in text
+        assert "projection" not in text
 
 
 class TestBend:
@@ -326,10 +324,13 @@ class TestFit:
 
 
 class TestGlobalBehavior:
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        path = modified_config(tmp_path, lambda t: t.update({"extra_block": {}}))
-        assert run("--config", path, "--out", str(tmp_path), "screen") == 2
-        assert "extra_block" in capsys.readouterr().err
+    # the long-fiber scenario is configs/h2_long_fiber.yaml, not a projection block
+    @pytest.mark.parametrize("block,command", [("extra_block", "screen"), ("projection", "efficiency")])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, block, command):
+        path = modified_config(tmp_path, lambda t: t.update({block: {"pump1_power_w": 15.0}}))
+        assert run("--config", path, "--out", str(tmp_path / "out"), command) == 2
+        assert f"error: config.{block}: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run("--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path), "screen") == 2
@@ -465,31 +466,6 @@ class TestGlobalBehavior:
 
         assert run("--config", modified_config(tmp_path, fiber), *common, "efficiency") == 2
         assert "fields.fiber_length_m: the efficiency at 1e+200 m overflows" in capsys.readouterr().err
-        assert not (out / "efficiency_vs_length.csv").exists()
-
-    @pytest.mark.parametrize(
-        "key,value,length",
-        [("reference_length_m", 1e200, "1e+200"), ("attenuation_db_per_m", 1e-200, "2.17147e+200")],
-    )
-    def test_projection_overflow_exits_2(self, tmp_path, capsys, key, value, length):
-        def mutate(tree):
-            tree["projection"][key] = value
-
-        out = tmp_path / "out"
-        assert run("--config", modified_config(tmp_path, mutate), "--out", str(out), "efficiency") == 2
-        assert f"projection.{key}: the efficiency at {length} m overflows" in capsys.readouterr().err
-        assert not (out / "efficiency_vs_length.csv").exists()
-
-    @pytest.mark.parametrize(
-        "value,cause", [(1e-320, "the optimum length overflows"), (0.0, "zero total attenuation")]
-    )
-    def test_projection_attenuation_without_a_finite_optimum_exits_2(self, tmp_path, capsys, value, cause):
-        def mutate(tree):
-            tree["projection"]["attenuation_db_per_m"] = value
-
-        out = tmp_path / "out"
-        assert run("--config", modified_config(tmp_path, mutate), "--out", str(out), "efficiency") == 2
-        assert f"error: projection.attenuation_db_per_m: {cause}" in capsys.readouterr().err
         assert not (out / "efficiency_vs_length.csv").exists()
 
     @pytest.mark.parametrize("from_config", [False, True])

@@ -6,6 +6,20 @@ from csrskit.core_model import FiberGeometry
 from tests.conftest import REPO_ROOT
 
 SHIPPED = REPO_ROOT / "configs" / "h2_914nm.yaml"
+LONG_FIBER = REPO_ROOT / "configs" / "h2_long_fiber.yaml"
+
+#: The leaves in which the long-fiber scenario departs from the shipped config.
+SCENARIO_LEAVES = {
+    "model.signal_attenuation_db_per_m": 0.0159,
+    "fields.pump1.attenuation_db_per_m": 0.0159,
+    "fields.pump2.attenuation_db_per_m": 0.0159,
+    "fields.probe.attenuation_db_per_m": 0.0159,
+    "fields.pump1.power_w": 15.0,
+    "fields.pump2.power_w": 8.0,
+    "fields.incoupling_all": 0.83,
+    "fields.fiber_length_m": 21.0,
+    "sweeps.length_m": [1.0, 25.0, 25],
+}
 
 
 def minimal_tree() -> dict:
@@ -50,7 +64,19 @@ class TestShippedConfig:
         fields = config.light_fields()
         assert fields["probe"].attenuation_db_per_m == 0.93
         assert config.catalog_path().exists()
-        assert config.projection()["reference_length_m"] == 21.0
+
+    def test_long_fiber_scenario_differs_only_in_its_own_leaves(self):
+        def leaves(node, path=""):
+            if not isinstance(node, dict):
+                return {path: node}
+            flat = {}
+            for name, child in node.items():
+                flat.update(leaves(child, f"{path}.{name}".lstrip(".")))
+            return flat
+
+        shipped, scenario = leaves(load_config(SHIPPED).tree), leaves(load_config(LONG_FIBER).tree)
+        assert scenario.keys() == shipped.keys()
+        assert {path: value for path, value in scenario.items() if shipped[path] != value} == SCENARIO_LEAVES
 
     def test_digest_is_stable(self):
         a = load_config(SHIPPED)
@@ -90,6 +116,10 @@ class TestValidation:
         tree = minimal_tree()
         tree["turbo"] = True
         with pytest.raises(ConfigError, match=r"config\.turbo"):
+            load_config(write_tree(tmp_path, tree))
+        tree = minimal_tree()  # a scenario is a config of its own (configs/h2_long_fiber.yaml)
+        tree["projection"] = {"pump1_power_w": 15.0, "pump2_power_w": 8.0}
+        with pytest.raises(ConfigError, match=r"^config\.projection: unknown key$"):
             load_config(write_tree(tmp_path, tree))
         tree = minimal_tree()
         tree["fields"]["pump1"]["phase"] = 0.0

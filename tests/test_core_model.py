@@ -236,6 +236,26 @@ class TestFiberGeometry:
         with pytest.raises(ValueError):
             FiberGeometry(2.0, 18.0, 1.3, 7)  # capillary larger than N * core
 
+    @pytest.mark.parametrize(
+        "sizes,named",
+        [
+            ((23.0, 18.3, math.nan, 7), ["wall_thickness_um"]),  # was built
+            ((23.0, 18.3, math.inf, 7), ["wall_thickness_um"]),  # was built
+            ((math.inf, 18.3, 1.28, 7), ["core_radius_um"]),  # was built
+            ((math.nan, 18.3, 1.28, 7), ["core_radius_um"]),  # blamed capillary_inner_radius_um
+            ((23.0, -18.3, 0.0, 7), ["capillary_inner_radius_um", "wall_thickness_um"]),
+        ],
+    )
+    def test_non_finite_or_non_positive_sizes_are_named(self, sizes, named):
+        with pytest.raises(ValueError) as excinfo:
+            FiberGeometry(*sizes)
+        message = str(excinfo.value)
+        assert message.split("; ") == [
+            f"{name} must be positive and finite, got {sizes[i]!r}"
+            for i, name in enumerate(("core_radius_um", "capillary_inner_radius_um", "wall_thickness_um"))
+            if name in named
+        ]
+
     def test_wall_index_models(self):
         const = FiberGeometry(23.0, 18.3, 1.28, 7, wall_index=1.444)
         assert const.wall_refractive_index(914.0) == 1.444

@@ -16,12 +16,10 @@ from csrskit.efficiency import (
     ModelValidityWarning,
     UnboundedOptimumError,
     alpha_linear,
-    efficiency_from_powers,
     loss_bookkeeping,
     max_power_efficiency,
     optimal_length,
     predicted_efficiency,
-    project_length_scaling,
 )
 from csrskit.fitting import DataSeries, fit_efficiency_length
 
@@ -188,6 +186,17 @@ class TestMaxPowerEfficiency:
         assert eta == 5000.0 / 100.0 * 10.0 * 10.0 * 10.0**2
         assert record[0].filename == __file__  # attributed to the caller
 
+    @pytest.mark.parametrize(
+        "argument,value",
+        [("p1_max_w", math.nan), ("p1_max_w", -15.0), ("p2_max_w", math.inf), ("p2_max_w", -1e-300)],
+    )
+    def test_bad_arguments_are_named(self, argument, value):
+        # a nan power returned nan, and -15 W an efficiency of -0.018
+        args = dict(p1_max_w=15.0, p2_max_w=8.0, length_m=1.85)
+        args[argument] = value
+        with pytest.raises(ValueError, match=f"^{argument} must be non-negative and finite, got {value!r}"):
+            max_power_efficiency(EfficiencyModel(0.0044), **args)
+
 
 @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
 def test_length_outside_zero_to_infinity_is_named(length):
@@ -197,8 +206,6 @@ def test_length_outside_zero_to_infinity_is_named(length):
         predicted_efficiency(model, *fields(), length)
     with pytest.raises(ValueError, match=message):
         max_power_efficiency(model, 15.0, 8.0, length)
-    with pytest.raises(ValueError, match=message):  # the formula itself now checks the length
-        efficiency_from_powers(model, 3.0, 3.0, 0.1, 0.1, 0.1, length)
 
 
 class TestOptimalLength:
@@ -300,66 +307,6 @@ class TestLossBookkeeping:
             loss_bookkeeping(0.0044, 0.006, 1.85, 0.07, 0.37, math.inf)
 
 
-class TestScalingProjection:
-    def test_reference_scenario(self):
-        proj = project_length_scaling(
-            coefficient_pct_per_w2m2=0.0044,
-            pump1_power_w=15.0,
-            pump2_power_w=8.0,
-            attenuation_db_per_m=15.9e-3,
-            incoupling=0.83,
-            reference_length_m=21.0,
-            reference_efficiency=0.70,
-        )
-        assert proj.optimal_length_m == pytest.approx(136.6, abs=0.1)
-        assert proj.exceeds_unity
-        assert proj.efficiency_at_optimum > 1.0
-        assert proj.efficiency_at_reference_length > 1.0
-        assert proj.reference_length_m == 21.0
-        assert proj.reference_efficiency == 0.70
-        assert "validity" in proj.note
-
-    def test_consistency_with_direct_model(self):
-        proj = project_length_scaling(0.0044, 15.0, 8.0, 15.9e-3, 0.83)
-        model = EfficiencyModel(0.0044, "lumped-exponential", signal_attenuation_db_per_m=15.9e-3)
-        flds = fields(p1=15.0, p2=8.0, a1=15.9e-3, a2=15.9e-3, ap=15.9e-3, i1=0.83, i2=0.83)
-        opt = optimal_length(model, *flds)
-        assert proj.optimal_length_m == pytest.approx(opt.length_m, rel=1e-3)
-        assert proj.efficiency_at_optimum == pytest.approx(opt.efficiency, rel=1e-6)
-
-    def test_attenuation_without_a_finite_optimum_is_named(self):
-        # 2 / (4 alpha) overflows to inf at 1e-320 dB/m, and has no value at 0
-        with pytest.raises(OverflowError, match="^attenuation_db_per_m: the optimum length overflows"):
-            project_length_scaling(0.0044, 15.0, 8.0, 1e-320, 0.83)
-        with pytest.raises(UnboundedOptimumError, match="^attenuation_db_per_m: zero total attenuation"):
-            project_length_scaling(0.0044, 15.0, 8.0, 0.0, 0.83)
-
-    @pytest.mark.parametrize(
-        "argument,value,message",
-        [
-            ("incoupling", math.nan, r"incoupling must lie in \[0, 1\], got nan"),
-            ("incoupling", 2.0, r"incoupling must lie in \[0, 1\], got 2\.0"),  # gave an efficiency of 1.35
-            ("pump1_power_w", math.nan, r"pump1_power_w must be non-negative and finite, got nan"),
-            ("pump1_power_w", -15.0, r"pump1_power_w must be non-negative and finite, got -15\.0"),
-            ("pump2_power_w", math.inf, r"pump2_power_w must be non-negative and finite, got inf"),
-            ("reference_length_m", math.nan, r"reference_length_m must be positive and finite, got nan"),
-            ("reference_length_m", -3.0, r"reference_length_m must be positive and finite, got -3\.0"),
-            ("reference_length_m", 0.0, r"reference_length_m must be positive and finite, got 0\.0"),
-            # not signal_attenuation_db_per_m, the field of the internal model
-            ("attenuation_db_per_m", math.nan, r"attenuation_db_per_m must be non-negative and finite, got nan"),
-            ("attenuation_db_per_m", -0.1, r"attenuation_db_per_m must be non-negative and finite, got -0\.1"),
-        ],
-    )
-    def test_bad_arguments_are_named(self, argument, value, message):
-        args = dict(
-            coefficient_pct_per_w2m2=0.0044, pump1_power_w=15.0, pump2_power_w=8.0, attenuation_db_per_m=0.1,
-            incoupling=0.8, reference_length_m=21.0,
-        )  # fmt: skip
-        args[argument] = value
-        with pytest.raises(ValueError, match="^" + message):
-            project_length_scaling(**args)
-
-
 class TestFieldValidation:
     def test_light_field_invariants(self):
         with pytest.raises(ValueError):
@@ -459,7 +406,6 @@ def test_stored_attenuations_give_the_db_domain_numbers_bit_for_bit(model, pump1
         for length in lengths:
             expected = _db_domain_efficiency(variant, c, p1, p2, *db, as_db, length)
             assert _hexes(predicted_efficiency(model, pump1, pump2, probe, length)) == _hexes(expected)
-            assert _hexes(efficiency_from_powers(model, p1, p2, *db, length)) == _hexes(expected)
             got = max_power_efficiency(model, pump1.power_w, pump2.power_w, length, pump1, pump2, probe)
             assert _hexes(got) == _hexes(expected)
             bare = _db_domain_efficiency(variant, c, pump1.power_w, pump2.power_w, 0.0, 0.0, 0.0, as_db, length)

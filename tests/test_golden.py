@@ -1,11 +1,12 @@
-"""The non-fit subcommands on the shipped config, byte for byte against tests/golden/.
+"""The non-fit subcommands on the shipped configs, byte for byte against tests/golden/.
 
 Every change must leave these CSVs identical, header included, unless it
-says which bytes it changes and why.  The fit CSVs are left out: the
-synthetic data are exact, so their residual norms and standard errors
-(~1e-15) are rounding noise.  Its last digits follow the order of the
-pure-Python sums and the platform's math.exp, so any reordering of the
-fit arithmetic or another libm changes them.
+says which bytes it changes and why.  The golden of a config other than
+h2_914nm.yaml sits in a folder named after it.  The fit CSVs are left
+out: the synthetic data are exact, so their residual norms and standard
+errors (~1e-15) are rounding noise.  Its last digits follow the order of
+the pure-Python sums and the platform's math.exp, so any reordering of
+the fit arithmetic or another libm changes them.
 """
 
 import pytest
@@ -17,14 +18,16 @@ GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize(
-    "command,csv",
+    "config,command,golden",
     [
-        ("phase-match", "phase_match.csv"),
-        ("efficiency", "efficiency_vs_length.csv"),
-        ("bend", "bend_accessibility.csv"),
-        ("screen", "raman_screen.csv"),
+        ("h2_914nm.yaml", "phase-match", "phase_match.csv"),
+        ("h2_914nm.yaml", "efficiency", "efficiency_vs_length.csv"),
+        ("h2_914nm.yaml", "bend", "bend_accessibility.csv"),
+        ("h2_914nm.yaml", "screen", "raman_screen.csv"),
+        ("h2_long_fiber.yaml", "efficiency", "h2_long_fiber/efficiency_vs_length.csv"),
     ],
 )
-def test_shipped_config_matches_golden(tmp_path, command, csv):
-    assert main(["--config", str(REPO_ROOT / "configs" / "h2_914nm.yaml"), "--out", str(tmp_path), command]) == 0
-    assert (tmp_path / csv).read_bytes() == (GOLDEN / csv).read_bytes()
+def test_shipped_config_matches_golden(tmp_path, config, command, golden):
+    assert main(["--config", str(REPO_ROOT / "configs" / config), "--out", str(tmp_path), command]) == 0
+    csv = golden.rsplit("/", 1)[-1]
+    assert (tmp_path / csv).read_bytes() == (GOLDEN / golden).read_bytes()
