@@ -16,6 +16,7 @@ from csrskit.config import SCHEMA, load_config
 from tests.conftest import REPO_ROOT
 
 SHIPPED = str(REPO_ROOT / "configs" / "h2_914nm.yaml")
+LONG_FIBER = str(REPO_ROOT / "configs" / "h2_long_fiber.yaml")
 CUTBACK_DATA = str(REPO_ROOT / "data" / "cutback_synthetic.csv")
 BEND_DATA = str(REPO_ROOT / "data" / "bend_synthetic.csv")
 EFFICIENCY_DATA = str(REPO_ROOT / "data" / "efficiency_synthetic.csv")
@@ -38,8 +39,9 @@ def read_rows(path):
     return header, rows
 
 
-def modified_config(tmp_path, mutate, name="config.yaml"):
-    tree = yaml.safe_load((REPO_ROOT / "configs" / "h2_914nm.yaml").read_text())
+def modified_config(tmp_path, mutate, name="config.yaml", base=SHIPPED):
+    with open(base) as stream:
+        tree = yaml.safe_load(stream)
     # the copy lives outside configs/, so the catalog needs an absolute path
     tree["screening"]["catalog"] = str(REPO_ROOT / "configs" / "h2_lines.csv")
     mutate(tree)
@@ -324,12 +326,16 @@ class TestFit:
 
 
 class TestGlobalBehavior:
-    # the long-fiber scenario is configs/h2_long_fiber.yaml, not a projection block
-    @pytest.mark.parametrize("block,command", [("extra_block", "screen"), ("projection", "efficiency")])
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys, block, command):
-        path = modified_config(tmp_path, lambda t: t.update({block: {"pump1_power_w": 15.0}}))
-        assert run("--config", path, "--out", str(tmp_path / "out"), command) == 2
-        assert f"error: config.{block}: unknown key" in capsys.readouterr().err
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        path = modified_config(tmp_path, lambda t: t.update({"extra_block": {}}))
+        assert run("--config", path, "--out", str(tmp_path), "screen") == 2
+        assert "extra_block" in capsys.readouterr().err
+
+    def test_projection_block_exits_2(self, tmp_path, capsys):
+        # the long-fiber scenario is configs/h2_long_fiber.yaml, not a projection block
+        path = modified_config(tmp_path, lambda t: t.update({"projection": {"pump1_power_w": 15.0}}))
+        assert run("--config", path, "--out", str(tmp_path / "out"), "efficiency") == 2
+        assert "error: config.projection: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
@@ -520,6 +526,79 @@ class TestGlobalBehavior:
         assert run("--config", SHIPPED, "--out", str(out), "phase-match") == 0
         assert (out / "phase_match.csv").is_symlink()
         assert target.read_text().startswith("# csrskit")
+
+
+#: The scalar leaves in which configs/h2_long_fiber.yaml departs from the shipped config.
+_SCENARIO_SCALARS = (
+    "model.signal_attenuation_db_per_m",
+    "fields.pump1.attenuation_db_per_m",
+    "fields.pump2.attenuation_db_per_m",
+    "fields.probe.attenuation_db_per_m",
+    "fields.pump1.power_w",
+    "fields.pump2.power_w",
+    "fields.incoupling_all",
+    "fields.fiber_length_m",
+)
+
+
+def _set_leaf(tree, path, value):
+    *blocks, name = path.split(".")
+    node = tree
+    for block in blocks:
+        node = node[block]
+    node[name] = value
+
+
+class TestLongFiberScenario:
+    """The scenario's own inputs are checked where the efficiency command reads them."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("path", _SCENARIO_SCALARS)
+    def test_non_finite_scenario_leaf_exits_2(self, tmp_path, capsys, path, bad):
+        config = modified_config(tmp_path, lambda tree: _set_leaf(tree, path, bad), base=LONG_FIBER)
+        assert run("--config", config, "--out", str(tmp_path / "out"), "efficiency") == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", _SCENARIO_SCALARS)
+    def test_out_of_range_scenario_leaf_exits_2(self, tmp_path, capsys, path):
+        constraint = next(key.constraint[0] for key in SCHEMA if key.path == path)
+        bad = _OUT_OF_RANGE[constraint]
+        config = modified_config(tmp_path, lambda tree: _set_leaf(tree, path, bad), base=LONG_FIBER)
+        assert run("--config", config, "--out", str(tmp_path / "out"), "efficiency") == 2
+        assert f"error: {path}: must be {constraint}, got {bad}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fiber_length_overflow_exits_2(self, tmp_path, capsys):
+        def mutate(tree):
+            _set_leaf(tree, "fields.fiber_length_m", 1e200)
+
+        config = modified_config(tmp_path, mutate, base=LONG_FIBER)
+        assert run("--config", config, "--out", str(tmp_path / "out"), "efficiency") == 2
+        assert "error: fields.fiber_length_m: the efficiency at 1e+200 m overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "efficiency_vs_length.csv").exists()
+
+    def _with_attenuation(self, tmp_path, value):
+        def mutate(tree):
+            for path in _SCENARIO_SCALARS[:4]:
+                _set_leaf(tree, path, value)
+
+        return modified_config(tmp_path, mutate, base=LONG_FIBER)
+
+    def test_optimum_length_overflow_exits_2(self, tmp_path, capsys):
+        # 2 / (4 alpha) overflows to inf at 1e-320 dB/m on every beam
+        out = tmp_path / "out"
+        assert run("--config", self._with_attenuation(tmp_path, 1e-320), "--out", str(out), "efficiency") == 2
+        assert "the optimum length or its efficiency overflows" in capsys.readouterr().err
+        assert not (out / "efficiency_vs_length.csv").exists()
+
+    def test_zero_attenuation_reports_an_unbounded_optimum(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("--config", self._with_attenuation(tmp_path, 0.0), "--out", str(out), "efficiency") == 0
+        text = (out / "efficiency_vs_length.csv").read_text()
+        assert "# optimal_length_m: unbounded (zero total attenuation leaves the optimum length unbounded)" in text
+        _, rows = read_rows(out / "efficiency_vs_length.csv")
+        assert len(rows) == 25  # no optimum row
 
 
 def fresh_interpreter_packages(lines) -> list:

@@ -17,13 +17,18 @@ from tests.conftest import REPO_ROOT
 GOLDEN = REPO_ROOT / "tests" / "golden"
 
 
+def _shipped(command, csv):
+    """A golden of the shipped config, under its command-golden id."""
+    return pytest.param("h2_914nm.yaml", command, csv, id=f"{command}-{csv}")
+
+
 @pytest.mark.parametrize(
     "config,command,golden",
     [
-        ("h2_914nm.yaml", "phase-match", "phase_match.csv"),
-        ("h2_914nm.yaml", "efficiency", "efficiency_vs_length.csv"),
-        ("h2_914nm.yaml", "bend", "bend_accessibility.csv"),
-        ("h2_914nm.yaml", "screen", "raman_screen.csv"),
+        _shipped("phase-match", "phase_match.csv"),
+        _shipped("efficiency", "efficiency_vs_length.csv"),
+        _shipped("bend", "bend_accessibility.csv"),
+        _shipped("screen", "raman_screen.csv"),
         ("h2_long_fiber.yaml", "efficiency", "h2_long_fiber/efficiency_vs_length.csv"),
     ],
 )
