@@ -32,7 +32,6 @@ from csrskit.phasematch import (
     optimal_pressure,
     phase_matching_factor,
     pressure_acceptance,
-    propagation_constant,
     raman_beat_thz,
     signal_wavelength,
 )
@@ -40,7 +39,6 @@ from csrskit.efficiency import (
     EfficiencyModel,
     LightField,
     alpha_linear,
-    max_power_efficiency,
     optimal_length,
     predicted_efficiency,
 )

@@ -217,6 +217,7 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
     try:
         optimum = optimal_length(model, pump1, pump2, probe)
         rows.append((optimum.length_m, optimum.efficiency))
+        exceeded = exceeded or optimum.efficiency > 1.0
         extra.append(f"optimal_length_m: {_fmt(optimum.length_m)}")
         extra.append(f"efficiency_at_optimum: {_fmt(optimum.efficiency)}")
         extra.append("last row: optimum length")
@@ -230,7 +231,9 @@ def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
             "efficiency overflows; the attenuations are too small"
         ) from None
     if exceeded:
-        extra.append("warning: efficiencies above 1 are outside the undepleted-pump validity range")
+        note = "warning: efficiencies above 1 are outside the undepleted-pump validity range"
+        extra.append(note)
+        summary = f"{summary}; {note}"
 
     # consistency report: the per-W^2 coefficient this model implies at the
     # configured length, and the attenuation bookkeeping behind it

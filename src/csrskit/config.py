@@ -119,7 +119,10 @@ POSITIVE = ("> 0", lambda v: v > 0)
 NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 FRACTION = ("in [0, 1]", lambda v: 0 <= v <= 1)
 AT_LEAST_3 = (">= 3", lambda v: v >= 3)
-CONSTANT_ABOVE_1 = ("> 1 when a constant", lambda v: isinstance(v, dict) or v > 1)
+ABOVE_1 = (
+    "> 1 as a constant or in every table row",
+    lambda v: all(n > 1 for _, n in v.get("table", ())) if isinstance(v, dict) else v > 1,
+)
 
 #: Default markers: the key must be given, or it is left out of the echo when absent.
 REQUIRED = "required"
@@ -149,7 +152,7 @@ SCHEMA = (
     Key("fiber.num_capillaries", _integer, REQUIRED, AT_LEAST_3),
     Key("fiber.capillary_inner_radius_um", _number, _touching_radius, POSITIVE),
     Key("fiber.wall_thickness_um", _number, REQUIRED, POSITIVE),
-    Key("fiber.wall_index", _wall_index, 1.444, CONSTANT_ABOVE_1),
+    Key("fiber.wall_index", _wall_index, 1.444, ABOVE_1),
     Key("gas.species", _string),
     Key("gas.refractivity_coefficients", _pairs),
     Key("gas.reference_pressure_bar", _number, REQUIRED, POSITIVE),
@@ -175,8 +178,6 @@ SCHEMA = (
         )
     ),
     Key("fields.fiber_length_m", _number, REQUIRED, POSITIVE),
-    # aggregate override: replaces every beam's incoupling when set
-    Key("fields.incoupling_all", _optional_number, None, FRACTION),
     Key("screening.bandpass_center_nm", _number, REQUIRED, POSITIVE),
     Key("screening.bandpass_width_nm", _number, REQUIRED, POSITIVE),
     Key("screening.strength_threshold", _number, 0.01, NON_NEGATIVE),
@@ -281,13 +282,12 @@ class ToolkitConfig:
 
     def light_fields(self) -> dict[str, LightField]:
         fields = self.tree["fields"]
-        override = fields["incoupling_all"]
         return {
             name: LightField(
                 wavelength_nm=self.tree["scheme"][f"{name}_nm"],
                 power_w=fields[name]["power_w"],
                 attenuation_db_per_m=fields[name]["attenuation_db_per_m"],
-                incoupling=fields[name]["incoupling"] if override is None else override,
+                incoupling=fields[name]["incoupling"],
             )
             for name in ("pump1", "pump2", "probe")
         }

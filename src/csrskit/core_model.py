@@ -332,18 +332,23 @@ def marcatili_mode_index(wavelength_nm: float, radius_um: float, mode: ModeLabel
     return 1.0 - 0.5 * u * u
 
 
+def _first_resonance_nm(wall_thickness_um: float, wall_index: float) -> float:
+    """lambda_1 = 2t sqrt(n_w^2 - 1) in nm; ValueError, naming the argument, unless 0 < t < inf and 1 < n_w < inf."""
+    if not 0.0 < wall_thickness_um < math.inf:  # nan included
+        raise ValueError(f"wall_thickness_um must be positive and finite, got {wall_thickness_um!r}")
+    if not 1.0 < wall_index < math.inf:
+        raise ValueError(f"wall_index must be finite and above 1, got {wall_index!r}")
+    return 2.0 * wall_thickness_um * 1e3 * math.sqrt(wall_index**2 - 1.0)
+
+
 def resonance_wavelengths(wall_thickness_um: float, wall_index: float, m_max: int) -> list[float]:
     """Wall resonance wavelengths lambda_m = (2t/m) sqrt(n_w^2 - 1), in nm.
 
-    Returned in descending order, m = 1..m_max.
+    Returned in descending order, m = 1..m_max; ValueError names a bad argument.
     """
-    if wall_thickness_um <= 0:
-        raise ValueError("wall thickness must be positive")
-    if wall_index <= 1.0:
-        raise ValueError("wall index must exceed 1")
+    lam1_nm = _first_resonance_nm(wall_thickness_um, wall_index)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    lam1_nm = 2.0 * wall_thickness_um * 1e3 * math.sqrt(wall_index**2 - 1.0)
     return [lam1_nm / m for m in range(1, m_max + 1)]
 
 
@@ -353,16 +358,18 @@ def transmission_window(wavelength_nm: float, wall_thickness_um: float, wall_ind
     Window m spans (lambda_m, lambda_{m-1}); window 1 is everything above
     the first resonance.  A wavelength exactly on a resonance is assigned
     to the shorter-wavelength side; use the guard band in
-    effective_core_index to reject such points outright.
+    effective_core_index to reject such points outright.  ValueError names
+    a bad argument.
     """
-    lam1_nm = 2.0 * wall_thickness_um * 1e3 * math.sqrt(wall_index**2 - 1.0)
-    return int(math.floor(lam1_nm / wavelength_nm)) + 1
+    if not 0.0 < wavelength_nm < math.inf:  # nan included
+        raise ValueError(f"wavelength_nm must be positive and finite, got {wavelength_nm!r}")
+    return int(math.floor(_first_resonance_nm(wall_thickness_um, wall_index) / wavelength_nm)) + 1
 
 
 def _check_resonance_proximity(
     wavelength_nm: float, wall_thickness_um: float, wall_index: float, exclusion_rel: float
 ) -> None:
-    lam1_nm = 2.0 * wall_thickness_um * 1e3 * math.sqrt(wall_index**2 - 1.0)
+    lam1_nm = _first_resonance_nm(wall_thickness_um, wall_index)
     m_near = lam1_nm / wavelength_nm
     m_lo, m_hi = math.floor(m_near), math.ceil(m_near)
     # the orders either side of m_near, at least 1; a conditional costs less than max()
@@ -393,14 +400,18 @@ def weighted_index_curve(
         n_eff - 1 = q / (1 + n_gas) - (u^2 / 2 + W (n_wall^2 + m) / (2 s tan(k_t s))) / n_gas
 
     (u = j lambda / 2 pi r, W = j^2 lambda^3 / 8 pi^3 r^3, k_t = 2 pi t /
-    lambda; "marcatili" drops W).  The weight_i (n_eff_i - 1) are summed in
-    field order and the exact sum of the weights is added last: the vacuum
-    part, which nearly cancels in a mismatch, adds no rounding.  The guard
-    band (ResonanceProximityError; a nan or negative resonance_exclusion_rel
-    is a ValueError), wavelength, temperature and pole checks run here, once
-    per field.  The returned function checks the pressure, computes the gas
-    density once (calling compressibility only above vacuum) and raises
-    DispersionDomainError for the first field at or above the wall index.
+    lambda).  Both variants return one closure, and the variant, fixed when
+    the curve is built, decides whether it adds the W term: "marcatili"
+    drops it, so it never takes sqrt(n_wall^2 - m) and returns a value past
+    the wall index too.  The weight_i (n_eff_i - 1) are summed in field
+    order and the exact sum of the weights is added last: the vacuum part,
+    which nearly cancels in a mismatch, adds no rounding.  The guard band
+    (ResonanceProximityError; a nan or negative resonance_exclusion_rel is a
+    ValueError), wavelength, temperature and pole checks run here, once per
+    field.  The returned function checks the pressure, computes the gas
+    density once (calling compressibility only above vacuum) and, for
+    "zeisberger", raises DispersionDomainError for the first field at or
+    above the wall index.
     """
     if variant not in INDEX_VARIANTS:
         raise ValueError(f"unknown index variant {variant!r}; expected one of {INDEX_VARIANTS}")
@@ -430,23 +441,10 @@ def weighted_index_curve(
     density_per_bar = gas.reference_temperature_k / temperature_k / gas.reference_pressure_bar
     compressibility = gas.compressibility
     weight_sum = math.fsum(term[0] for term in terms)
+    wall_term = variant == "zeisberger"
     sqrt, tan = math.sqrt, math.tan
 
-    # the two variants repeat the density lines: a shared helper costs a call per evaluation
-    def marcatili_sum(pressure_bar: float) -> float:
-        if not pressure_bar >= 0.0:  # nan included
-            raise ValueError("pressure must be non-negative")
-        rho = pressure_bar * density_per_bar
-        if compressibility is not None and pressure_bar > 0.0:
-            rho = rho / compressibility(pressure_bar, temperature_k)
-        total = 0.0
-        for weight, refractivity, half_u2, _, _, _ in terms:
-            q = rho * refractivity
-            n_gas = sqrt(1.0 + q)
-            total += weight * (q / (1.0 + n_gas) - half_u2 / n_gas)
-        return total + weight_sum
-
-    def zeisberger_sum(pressure_bar: float) -> float:
+    def index_sum(pressure_bar: float) -> float:
         if not pressure_bar >= 0.0:  # nan included
             raise ValueError("pressure must be non-negative")
         rho = pressure_bar * density_per_bar
@@ -457,14 +455,16 @@ def weighted_index_curve(
             for weight, refractivity, half_u2, n_wall2, phase_coefficient, half_prefactor in terms:
                 q = rho * refractivity
                 m = 1.0 + q
-                s = sqrt(n_wall2 - m)
-                wall = half_prefactor * (n_wall2 + m) / (s * tan(phase_coefficient * s))
+                guided = half_u2
+                if wall_term:
+                    s = sqrt(n_wall2 - m)
+                    guided = half_u2 + half_prefactor * (n_wall2 + m) / (s * tan(phase_coefficient * s))
                 n_gas = sqrt(m)
-                total += weight * (q / (1.0 + n_gas) - (half_u2 + wall) / n_gas)
+                total += weight * (q / (1.0 + n_gas) - guided / n_gas)
         except (ValueError, ZeroDivisionError):  # s is imaginary or 0 for some field
             for (_, refractivity, _, n_wall2, _, _), (wavelength_nm, n_wall) in zip(terms, walls):
                 m = 1.0 + rho * refractivity
-                if not n_wall2 - m > 0.0:
+                if wall_term and not n_wall2 - m > 0.0:
                     raise DispersionDomainError(
                         f"at {pressure_bar:g} bar the gas index {sqrt(m):.6g} at {wavelength_nm:g} nm reaches the "
                         f"wall index {n_wall:.6g}; the wall model needs the gas index below the wall index"
@@ -472,7 +472,7 @@ def weighted_index_curve(
             raise
         return total + weight_sum
 
-    return marcatili_sum if variant == "marcatili" else zeisberger_sum
+    return index_sum
 
 
 def core_index_curve(

@@ -48,7 +48,6 @@ __all__ = [
     "LossBookkeeping",
     "alpha_linear",
     "predicted_efficiency",
-    "max_power_efficiency",
     "optimal_length",
     "loss_bookkeeping",
 ]
@@ -199,40 +198,6 @@ def predicted_efficiency(
         pump1._alpha_per_m,
         pump2._alpha_per_m,
         probe._alpha_per_m,
-        length_m,
-    )
-    if eta > 1.0:
-        _warn_above_unity(eta)
-    return eta
-
-
-def max_power_efficiency(
-    model: EfficiencyModel,
-    p1_max_w: float,
-    p2_max_w: float,
-    length_m: float,
-    pump1: LightField | None = None,
-    pump2: LightField | None = None,
-    probe: LightField | None = None,
-) -> float:
-    """Efficiency at full pump powers and fixed length.
-
-    Optional fields supply attenuation and incoupling; absent fields are
-    treated as loss-free with unit incoupling, so the result reduces to
-    the per-W^2 coefficient at this length times P1 P2.  Raises
-    ValueError, naming the argument, unless p1_max_w and p2_max_w are
-    finite and non-negative and length_m is positive and finite.
-    """
-    for name, power in (("p1_max_w", p1_max_w), ("p2_max_w", p2_max_w)):
-        if not 0.0 <= power < math.inf:  # nan included
-            raise ValueError(f"{name} must be non-negative and finite, got {power!r}")
-    eta = _efficiency(
-        model,
-        p1_max_w * (pump1.incoupling if pump1 is not None else 1.0),
-        p2_max_w * (pump2.incoupling if pump2 is not None else 1.0),
-        pump1._alpha_per_m if pump1 is not None else 0.0,
-        pump2._alpha_per_m if pump2 is not None else 0.0,
-        probe._alpha_per_m if probe is not None else 0.0,
         length_m,
     )
     if eta > 1.0:

@@ -35,7 +35,6 @@ from csrskit.core_model import (
     MAX_AZIMUTHAL_ORDER,
     MAX_RADIAL_ORDER,
     ModeLabel,
-    effective_core_index,
     hash_once,
     weighted_index_curve,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ThicknessSolution",
     "signal_wavelength",
     "raman_beat_thz",
-    "propagation_constant",
     "mismatch_curve",
     "delta_beta",
     "optimal_pressure",
@@ -189,23 +187,6 @@ class ConversionScheme:
             "probe": self.probe_nm,
             "signal": self.signal_nm,
         }
-
-
-def propagation_constant(
-    wavelength_nm: float,
-    pressure_bar: float,
-    temperature_k: float,
-    geom: FiberGeometry,
-    gas: GasDispersion,
-    mode: ModeLabel = LP01,
-    variant: str = "zeisberger",
-    resonance_exclusion_rel: float = DEFAULT_RESONANCE_EXCLUSION,
-) -> float:
-    """beta = (2 pi / lambda) n_eff, in rad/m."""
-    n_eff = effective_core_index(
-        geom, gas, wavelength_nm, pressure_bar, temperature_k, mode, variant, resonance_exclusion_rel
-    )
-    return 2.0 * math.pi / (wavelength_nm * 1e-9) * n_eff
 
 
 def mismatch_curve(

@@ -61,8 +61,10 @@ def _numeric_leaves(node=None, path=()) -> list:
     return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
 
 
+_VALIDITY_NOTE = "warning: efficiencies above 1 are outside the undepleted-pump validity range"
+
 #: A value that breaks each constraint of the schema.
-_OUT_OF_RANGE = {"> 0": 0.0, ">= 0": -1.0, "in [0, 1]": 1.5, ">= 3": 2, "> 1 when a constant": 1.0}
+_OUT_OF_RANGE = {"> 0": 0.0, ">= 0": -1.0, "in [0, 1]": 1.5, ">= 3": 2, "> 1 as a constant or in every table row": 1.0}
 
 
 def _dotted(path) -> str:
@@ -186,15 +188,31 @@ class TestEfficiency:
         assert etas[2.0] / etas[1.0] == pytest.approx(4.0, rel=1e-12)
         assert etas[4.0] / etas[2.0] == pytest.approx(4.0, rel=1e-12)
 
-    def test_efficiencies_above_one_are_reported_in_the_header_not_warned(self, tmp_path):
+    def test_efficiencies_above_one_are_reported_in_the_header_not_warned(self, tmp_path, capsys):
         argv = ["--config", SHIPPED, "--out", str(tmp_path), "--loss-variant", "lossless"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(*argv, "efficiency", "--lengths", "1:400:5") == 0
-        text = (tmp_path / "efficiency_vs_length.csv").read_text()
-        assert "# warning: efficiencies above 1 are outside the undepleted-pump validity range\n" in text
-        _, rows = read_rows(tmp_path / "efficiency_vs_length.csv")
+        path = tmp_path / "efficiency_vs_length.csv"
+        assert f"# {_VALIDITY_NOTE}\n" in path.read_text()
+        assert capsys.readouterr().out == f"L_opt unbounded; {_VALIDITY_NOTE} -> {path}\n"
+        _, rows = read_rows(path)
         assert max(float(eta) for _, eta in rows) > 1.0
+
+    def test_an_optimum_above_one_is_reported_in_the_header_and_summary(self, tmp_path, capsys):
+        # every sweep row is below 1 and only the optimum row, 9.18, is above it
+        assert run("--config", LONG_FIBER, "--out", str(tmp_path), "efficiency", "--lengths", "1:5:5") == 0
+        path = tmp_path / "efficiency_vs_length.csv"
+        assert f"# {_VALIDITY_NOTE}\n" in path.read_text()
+        assert capsys.readouterr().out == f"L_opt = 136.571 m, eta(L_opt) = 9.182; {_VALIDITY_NOTE} -> {path}\n"
+        _, rows = read_rows(path)
+        assert [float(eta) > 1.0 for _, eta in rows] == [False] * 5 + [True]
+
+    def test_shipped_summary_has_no_validity_note(self, tmp_path, capsys):
+        assert run("--config", SHIPPED, "--out", str(tmp_path), "efficiency") == 0
+        path = tmp_path / "efficiency_vs_length.csv"
+        assert capsys.readouterr().out == f"L_opt = 4.021 m, eta(L_opt) = 0.0008666 -> {path}\n"
+        assert "warning" not in path.read_text()
 
     def test_zero_power_gives_zero_column(self, tmp_path):
         path = modified_config(
@@ -336,6 +354,18 @@ class TestGlobalBehavior:
         path = modified_config(tmp_path, lambda t: t.update({"projection": {"pump1_power_w": 15.0}}))
         assert run("--config", path, "--out", str(tmp_path / "out"), "efficiency") == 2
         assert "error: config.projection: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", [1.0, 0.5, -1.444])
+    def test_wall_index_table_row_at_or_below_one_exits_2(self, tmp_path, capsys, n):
+        # such a table loaded, and phase-match then failed with a bare "math domain error"
+        table = {"table": [[900.0, 1.45], [1600.0, n]]}
+        path = modified_config(tmp_path, lambda t: t["fiber"].update({"wall_index": table}))
+        for command in ("phase-match", "bend"):
+            assert run("--config", path, "--out", str(tmp_path / "out"), command) == 2
+            assert f"error: fiber.wall_index: must be > 1 as a constant or in every table row, got {table!r}" in (
+                capsys.readouterr().err
+            )
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
@@ -536,7 +566,9 @@ _SCENARIO_SCALARS = (
     "fields.probe.attenuation_db_per_m",
     "fields.pump1.power_w",
     "fields.pump2.power_w",
-    "fields.incoupling_all",
+    "fields.pump1.incoupling",
+    "fields.pump2.incoupling",
+    "fields.probe.incoupling",
     "fields.fiber_length_m",
 )
 

@@ -1,6 +1,7 @@
 import pytest
 import yaml
 
+from csrskit.cli import main
 from csrskit.config import SCHEMA, ConfigError, load_config
 from csrskit.core_model import FiberGeometry
 from tests.conftest import REPO_ROOT
@@ -16,7 +17,9 @@ SCENARIO_LEAVES = {
     "fields.probe.attenuation_db_per_m": 0.0159,
     "fields.pump1.power_w": 15.0,
     "fields.pump2.power_w": 8.0,
-    "fields.incoupling_all": 0.83,
+    "fields.pump1.incoupling": 0.83,
+    "fields.pump2.incoupling": 0.83,
+    "fields.probe.incoupling": 0.83,
     "fields.fiber_length_m": 21.0,
     "sweeps.length_m": [1.0, 25.0, 25],
 }
@@ -176,17 +179,16 @@ class TestValidation:
         # sqrt(1 + 12 * 1 / (1 - 0.01)) at 1 um; a table reading gave 0.01
         assert geom.wall_refractive_index(1000.0) == pytest.approx(3.6223, abs=1e-4)
 
-    def test_aggregate_incoupling_override(self, tmp_path):
+    def test_incoupling_all_is_an_unknown_key(self, tmp_path, capsys):
+        # each beam's incoupling is set on the beam; there is no aggregate override
         tree = minimal_tree()
-        tree["fields"]["pump1"]["incoupling"] = 0.95
         tree["fields"]["incoupling_all"] = 0.83
-        config = load_config(write_tree(tmp_path, tree))
-        fields = config.light_fields()
-        assert all(f.incoupling == 0.83 for f in fields.values())
-        del tree["fields"]["incoupling_all"]
-        config = load_config(write_tree(tmp_path, tree))
-        assert config.light_fields()["pump1"].incoupling == 0.95
-        assert config.light_fields()["probe"].incoupling == 1.0
+        path = write_tree(tmp_path, tree)
+        with pytest.raises(ConfigError, match=r"^fields\.incoupling_all: unknown key$"):
+            load_config(path)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "efficiency"]) == 2
+        assert "error: fields.incoupling_all: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_catalog_path_relative_to_config(self, tmp_path):
         tree = minimal_tree()

@@ -218,6 +218,34 @@ class TestResonances:
         with pytest.raises(ValueError):
             resonance_wavelengths(1.28, 1.0, 2)
 
+    @pytest.mark.parametrize(
+        "function,args,name,value",
+        [
+            # returned [nan, nan] and [inf, inf]
+            (resonance_wavelengths, (math.nan, 1.444, 2), "wall_thickness_um", math.nan),
+            (resonance_wavelengths, (math.inf, 1.444, 2), "wall_thickness_um", math.inf),
+            # a bare "math domain error"
+            (resonance_wavelengths, (1.28, 0.9, 2), "wall_index", 0.9),
+            (transmission_window, (914.0, 1.28, 1.0), "wall_index", 1.0),
+            (transmission_window, (914.0, 1.28, math.nan), "wall_index", math.nan),
+            (transmission_window, (914.0, 1.28, math.inf), "wall_index", math.inf),
+            # window -2
+            (transmission_window, (914.0, -1.0, 1.444), "wall_thickness_um", -1.0),
+            # ZeroDivisionError
+            (transmission_window, (0.0, 1.28, 1.444), "wavelength_nm", 0.0),
+            (transmission_window, (math.nan, 1.28, 1.444), "wavelength_nm", math.nan),
+        ],
+    )
+    def test_bad_arguments_are_named(self, function, args, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be (positive and finite|finite and above 1), got {value!r}$"):
+            function(*args)
+
+    def test_guard_band_names_a_wall_index_at_or_below_one(self):
+        # the guard band shares the first-resonance formula; it raised a bare "math domain error"
+        geom = FiberGeometry(23.0, 18.3, 1.28, 7, 0.9)
+        with pytest.raises(ValueError, match="^wall_index must be finite and above 1, got 0.9$"):
+            core_index_curve(geom, _H2, 914.0, 293.0)
+
     def test_window_classification(self):
         # probe and short pump live between the m=3 and m=2 resonances
         assert transmission_window(914.0, 1.28, 1.444) == 3

@@ -17,7 +17,6 @@ from csrskit.efficiency import (
     UnboundedOptimumError,
     alpha_linear,
     loss_bookkeeping,
-    max_power_efficiency,
     optimal_length,
     predicted_efficiency,
 )
@@ -156,46 +155,30 @@ class TestPredictedEfficiency:
     def test_above_unity_warns_but_returns(self):
         model = EfficiencyModel(5000.0, "lossless")
         pump1, pump2, probe = fields(p1=10.0, p2=10.0)
-        with pytest.warns(ModelValidityWarning) as record:
+        with pytest.warns(ModelValidityWarning, match="exceeds 1") as record:
             eta = predicted_efficiency(model, pump1, pump2, probe, 10.0)
-        assert eta > 1.0
+        assert eta == 5000.0 / 100.0 * 10.0 * 10.0 * 10.0**2
         assert record[0].filename == __file__  # attributed to the caller
 
 
-class TestMaxPowerEfficiency:
+class TestFullPumpPower:
+    """Efficiency at full pump powers: predicted_efficiency on fields built at those powers."""
+
     def test_per_w2_projection(self):
         # 0.006 %/W^2 at 1.85 m equals C = 0.0044 with 2.16 dB/m lumped loss
         total_db = solve_alpha_sum_db(0.0044, 0.006, 1.85)
         model = EfficiencyModel(0.0044, "lumped-exponential", signal_attenuation_db_per_m=total_db)
-        eta = max_power_efficiency(model, 12.6, 3.87, 1.85)
+        eta = predicted_efficiency(model, *fields(p1=12.6, p2=3.87), length_m=1.85)
         assert eta * 100 == pytest.approx(0.29, abs=0.005)
 
     def test_lossless_full_power(self):
         model = EfficiencyModel(0.0044, "lossless")
-        eta = max_power_efficiency(model, 15.0, 8.0, 1.85)
+        eta = predicted_efficiency(model, *fields(p1=15.0, p2=8.0), length_m=1.85)
         assert eta * 100 == pytest.approx(1.81, abs=0.01)
 
     def test_zero_power(self):
         model = EfficiencyModel(0.0044, "lossless")
-        assert max_power_efficiency(model, 0.0, 8.0, 1.85) == 0.0
-
-    def test_above_unity_warns_but_returns(self):
-        model = EfficiencyModel(5000.0, "lossless")
-        with pytest.warns(ModelValidityWarning, match="exceeds 1") as record:
-            eta = max_power_efficiency(model, 10.0, 10.0, 10.0)
-        assert eta == 5000.0 / 100.0 * 10.0 * 10.0 * 10.0**2
-        assert record[0].filename == __file__  # attributed to the caller
-
-    @pytest.mark.parametrize(
-        "argument,value",
-        [("p1_max_w", math.nan), ("p1_max_w", -15.0), ("p2_max_w", math.inf), ("p2_max_w", -1e-300)],
-    )
-    def test_bad_arguments_are_named(self, argument, value):
-        # a nan power returned nan, and -15 W an efficiency of -0.018
-        args = dict(p1_max_w=15.0, p2_max_w=8.0, length_m=1.85)
-        args[argument] = value
-        with pytest.raises(ValueError, match=f"^{argument} must be non-negative and finite, got {value!r}"):
-            max_power_efficiency(EfficiencyModel(0.0044), **args)
+        assert predicted_efficiency(model, *fields(p1=0.0, p2=8.0), length_m=1.85) == 0.0
 
 
 @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
@@ -204,8 +187,6 @@ def test_length_outside_zero_to_infinity_is_named(length):
     message = f"^length_m must be positive and finite, got {length!r}"
     with pytest.raises(ValueError, match=message):
         predicted_efficiency(model, *fields(), length)
-    with pytest.raises(ValueError, match=message):
-        max_power_efficiency(model, 15.0, 8.0, length)
 
 
 class TestOptimalLength:
@@ -406,10 +387,9 @@ def test_stored_attenuations_give_the_db_domain_numbers_bit_for_bit(model, pump1
         for length in lengths:
             expected = _db_domain_efficiency(variant, c, p1, p2, *db, as_db, length)
             assert _hexes(predicted_efficiency(model, pump1, pump2, probe, length)) == _hexes(expected)
-            got = max_power_efficiency(model, pump1.power_w, pump2.power_w, length, pump1, pump2, probe)
-            assert _hexes(got) == _hexes(expected)
             bare = _db_domain_efficiency(variant, c, pump1.power_w, pump2.power_w, 0.0, 0.0, 0.0, as_db, length)
-            assert _hexes(max_power_efficiency(model, pump1.power_w, pump2.power_w, length)) == _hexes(bare)
+            loss_free = (LightField(f.wavelength_nm, f.power_w) for f in (pump1, pump2, probe))
+            assert _hexes(predicted_efficiency(model, *loss_free, length)) == _hexes(bare)
     length = _db_domain_optimal_length(variant, *db, as_db)
     if length is None:
         with pytest.raises(UnboundedOptimumError):

@@ -22,7 +22,9 @@ from csrskit.core_model import (
     ModeLabel,
     ResonanceProximityError,
     core_index_curve,
+    effective_core_index,
     gas_index,
+    marcatili_mode_index,
 )
 from csrskit.phasematch import (
     AcceptanceWidth,
@@ -38,7 +40,6 @@ from csrskit.phasematch import (
     optimal_pressure,
     phase_matching_factor,
     pressure_acceptance,
-    propagation_constant,
     raman_beat_thz,
     signal_wavelength,
 )
@@ -156,23 +157,29 @@ class TestConversionScheme:
 
 
 class TestPropagationConstant:
+    """beta = (2 pi / lambda) n_eff, from effective_core_index."""
+
+    @staticmethod
+    def beta(lam, p, geom, gas, **kwargs):
+        return 2.0 * math.pi / (lam * 1e-9) * effective_core_index(geom, gas, lam, p, T_K, **kwargs)
+
     def test_vacuum_limit(self, h2_gas):
         # enormous core: waveguide term negligible, beta -> 2 pi / lambda
         huge = FiberGeometry(1e6, 10.0, 1.28, 7, 1.444)
-        beta = propagation_constant(1550.0, 0.0, T_K, huge, h2_gas, variant="marcatili")
+        beta = self.beta(1550.0, 0.0, huge, h2_gas, variant="marcatili")
         assert beta == pytest.approx(2.0 * math.pi / 1550e-9, rel=1e-12)
 
     def test_compositional_oracle(self, fiber_geom, h2_gas):
-        from csrskit.core_model import effective_core_index
-
+        # marcatili: n_eff = n_gas - (1 - n_capillary) / n_gas, from the two per-call forms
         lam, p = 1550.0, 50.0
-        n_eff = effective_core_index(fiber_geom, h2_gas, lam, p, T_K)
-        beta = propagation_constant(lam, p, T_K, fiber_geom, h2_gas)
-        assert beta == pytest.approx(2.0 * math.pi / (lam * 1e-9) * n_eff, rel=1e-15)
+        n_gas = gas_index(h2_gas, lam, p, T_K)
+        n_capillary = marcatili_mode_index(lam, fiber_geom.core_radius_um, LP01)
+        beta = self.beta(lam, p, fiber_geom, h2_gas, variant="marcatili")
+        assert beta == pytest.approx(2.0 * math.pi / (lam * 1e-9) * (n_gas - (1.0 - n_capillary) / n_gas), rel=1e-15)
         assert beta > 0
 
     def test_monotone_in_pressure(self, fiber_geom, h2_gas):
-        betas = [propagation_constant(1550.0, p, T_K, fiber_geom, h2_gas) for p in (0.0, 20.0, 60.0, 120.0)]
+        betas = [self.beta(1550.0, p, fiber_geom, h2_gas) for p in (0.0, 20.0, 60.0, 120.0)]
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
 
 
@@ -732,6 +739,25 @@ class TestShippedDesignPins:
         args, kwargs = shipped
         width = pressure_acceptance(*args, length_m, _SHIPPED_P_OPT, **kwargs)
         assert (width.lower_bar.hex(), width.upper_bar.hex()) == (lower, upper)
+
+    @pytest.mark.parametrize(
+        "variant,pressure_bar,bits",
+        [
+            ("zeisberger", 0.0, "-0x1.f815085c70100p+4"),
+            ("zeisberger", 60.0, "-0x1.7bfb3bde39800p+3"),
+            ("zeisberger", 92.77, "-0x1.b1d3da4000000p-10"),
+            ("zeisberger", 150.0, "0x1.5bc8f9f1cf000p+4"),
+            ("marcatili", 0.0, "-0x1.42cdddd8e7560p+5"),
+            ("marcatili", 60.0, "-0x1.c8fc0bb305000p+3"),
+            ("marcatili", 92.77, "-0x1.a6b9b8df00000p-3"),
+            ("marcatili", 150.0, "0x1.81a584ef9f000p+4"),
+        ],
+    )
+    def test_delta_beta(self, shipped, variant, pressure_bar, bits):
+        # both index variants share one curve closure; the variant's wall-term branch must not move a bit
+        (scheme, t_k, geom, gas), kwargs = shipped
+        got = delta_beta(scheme, pressure_bar, t_k, geom, gas, None, variant, kwargs["resonance_exclusion_rel"])
+        assert got.hex() == bits
 
     def test_infer_wall_thickness(self, shipped):
         (scheme, t_k, geom, gas), kwargs = shipped
