@@ -11,36 +11,4 @@ module recovers loss and saturation parameters from measured curves, and
 a CLI turns configurations into plot-ready CSV tables.
 """
 
-from csrskit.core_model import (
-    FiberGeometry,
-    GasDispersion,
-    LP01,
-    LP11,
-    ModeLabel,
-    bessel_zero,
-    core_index_curve,
-    effective_core_index,
-    gas_index,
-    marcatili_mode_index,
-    resonance_wavelengths,
-    transmission_window,
-)
-from csrskit.phasematch import (
-    ConversionScheme,
-    delta_beta,
-    mismatch_curve,
-    optimal_pressure,
-    phase_matching_factor,
-    pressure_acceptance,
-    raman_beat_thz,
-    signal_wavelength,
-)
-from csrskit.efficiency import (
-    EfficiencyModel,
-    LightField,
-    alpha_linear,
-    optimal_length,
-    predicted_efficiency,
-)
-
 __version__ = "0.1.0"

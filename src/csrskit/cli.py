@@ -27,28 +27,9 @@ import warnings
 from pathlib import Path
 
 from csrskit import __version__
-from csrskit.bendloss import DEFAULT_CLADDING_PAIRS, EMPIRICAL_LP01_CUTOFF_M, critical_bend_radius, mode_accessibility
 from csrskit.config import ToolkitConfig, load_config
-from csrskit.core_model import LP01, LP11
-from csrskit.efficiency import (
-    ModelValidityWarning,
-    UnboundedOptimumError,
-    loss_bookkeeping,
-    optimal_length,
-    predicted_efficiency,
-)
-from csrskit.phasematch import (
-    NoConvergenceError,
-    NoRootError,
-    NoSolutionError,
-    mismatch_curve,
-    optimal_pressure,
-    phase_matching_factor,
-)
-from csrskit.raman_screen import load_catalog, screen
 
-# ConfigError, CatalogFormatError and the scheme and resonance errors are ValueErrors
-_INPUT_ERRORS = (NoSolutionError, UnboundedOptimumError, ValueError, OSError)
+# Each cmd_* imports the modules it runs, so that a process loads no other subcommand's.
 
 
 def _fmt(value) -> str:
@@ -145,6 +126,14 @@ def _write_table(path: Path, config: ToolkitConfig, command: str, seed: int, col
 
 
 def cmd_phase_match(config: ToolkitConfig, args, out_dir: Path) -> int:
+    from csrskit.phasematch import (
+        NoConvergenceError,
+        NoRootError,
+        mismatch_curve,
+        optimal_pressure,
+        phase_matching_factor,
+    )
+
     scheme = config.scheme()
     geom = config.fiber_geometry()
     gas = config.gas_dispersion()
@@ -160,15 +149,22 @@ def cmd_phase_match(config: ToolkitConfig, args, out_dir: Path) -> int:
             " the window needs 0 <= start < stop"
         )
 
-    solution = optimal_pressure(
-        scheme,
-        t_k,
-        geom,
-        gas,
-        bracket=(pressures[0], pressures[-1]),
-        variant=variant,
-        resonance_exclusion_rel=exclusion,
-    )
+    try:
+        solution = optimal_pressure(
+            scheme,
+            t_k,
+            geom,
+            gas,
+            bracket=(pressures[0], pressures[-1]),
+            variant=variant,
+            resonance_exclusion_rel=exclusion,
+        )
+    except NoRootError as exc:
+        print(f"error: no phase-matching root: {exc}", file=sys.stderr)
+        return 2
+    except NoConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
     mismatch = mismatch_curve(scheme, t_k, geom, gas, variant=variant, resonance_exclusion_rel=exclusion)
     rows = []
@@ -197,74 +193,97 @@ def cmd_phase_match(config: ToolkitConfig, args, out_dir: Path) -> int:
 
 
 def cmd_efficiency(config: ToolkitConfig, args, out_dir: Path) -> int:
-    model = config.efficiency_model()
-    fields = config.light_fields()
-    pump1, pump2, probe = fields["pump1"], fields["pump2"], fields["probe"]
-    lengths = _positive_sweep(args, "lengths", config, "length_m", (0.1, 25.0, 100))
+    from csrskit.efficiency import (
+        ModelValidityWarning,
+        UnboundedOptimumError,
+        loss_bookkeeping,
+        optimal_length,
+        predicted_efficiency,
+    )
 
-    exceeded = False
-    rows = []
-    for length in lengths:
+    # efficiencies above 1 are reported in the CSV's header and the summary line instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelValidityWarning)
+        model = config.efficiency_model()
+        fields = config.light_fields()
+        pump1, pump2, probe = fields["pump1"], fields["pump2"], fields["probe"]
+        lengths = _positive_sweep(args, "lengths", config, "length_m", (0.1, 25.0, 100))
+
+        exceeded = False
+        rows = []
+        for length in lengths:
+            try:
+                eta = predicted_efficiency(model, pump1, pump2, probe, length)
+            except OverflowError:
+                source = _sweep_source(args, "lengths", "length_m")
+                raise ValueError(f"{source}: the efficiency at {_fmt(length)} m overflows") from None
+            exceeded = exceeded or eta > 1.0
+            rows.append((length, eta))
+
+        extra = []
         try:
-            eta = predicted_efficiency(model, pump1, pump2, probe, length)
+            optimum = optimal_length(model, pump1, pump2, probe)
+            rows.append((optimum.length_m, optimum.efficiency))
+            exceeded = exceeded or optimum.efficiency > 1.0
+            extra.append(f"optimal_length_m: {_fmt(optimum.length_m)}")
+            extra.append(f"efficiency_at_optimum: {_fmt(optimum.efficiency)}")
+            extra.append("last row: optimum length")
+            summary = f"L_opt = {optimum.length_m:.3f} m, eta(L_opt) = {optimum.efficiency:.4g}"
+        except UnboundedOptimumError as exc:
+            extra.append(f"optimal_length_m: unbounded ({exc})")
+            summary = "L_opt unbounded"
         except OverflowError:
-            source = _sweep_source(args, "lengths", "length_m")
-            raise ValueError(f"{source}: the efficiency at {_fmt(length)} m overflows") from None
-        exceeded = exceeded or eta > 1.0
-        rows.append((length, eta))
+            raise ValueError(
+                "model.signal_attenuation_db_per_m, fields.*.attenuation_db_per_m: the optimum length or its "
+                "efficiency overflows; the attenuations are too small"
+            ) from None
+        if exceeded:
+            note = "warning: efficiencies above 1 are outside the undepleted-pump validity range"
+            extra.append(note)
+            summary = f"{summary}; {note}"
 
-    extra = []
-    try:
-        optimum = optimal_length(model, pump1, pump2, probe)
-        rows.append((optimum.length_m, optimum.efficiency))
-        exceeded = exceeded or optimum.efficiency > 1.0
-        extra.append(f"optimal_length_m: {_fmt(optimum.length_m)}")
-        extra.append(f"efficiency_at_optimum: {_fmt(optimum.efficiency)}")
-        extra.append("last row: optimum length")
-        summary = f"L_opt = {optimum.length_m:.3f} m, eta(L_opt) = {optimum.efficiency:.4g}"
-    except UnboundedOptimumError as exc:
-        extra.append(f"optimal_length_m: unbounded ({exc})")
-        summary = "L_opt unbounded"
-    except OverflowError:
-        raise ValueError(
-            "model.signal_attenuation_db_per_m, fields.*.attenuation_db_per_m: the optimum length or its "
-            "efficiency overflows; the attenuations are too small"
-        ) from None
-    if exceeded:
-        note = "warning: efficiencies above 1 are outside the undepleted-pump validity range"
-        extra.append(note)
-        summary = f"{summary}; {note}"
+        # consistency report: the per-W^2 coefficient this model implies at the
+        # configured length, and the attenuation bookkeeping behind it
+        length = config.fiber_length_m()
+        power_product = pump1.coupled_power_w * pump2.coupled_power_w
+        per_w2_pct = None
+        if power_product > 0.0:
+            try:
+                per_w2_pct = predicted_efficiency(model, pump1, pump2, probe, length) / power_product * 100.0
+            except OverflowError:
+                raise ValueError(f"fields.fiber_length_m: the efficiency at {_fmt(length)} m overflows") from None
+        if per_w2_pct == 0.0 and model.loss_variant == "lumped-exponential":
+            # the rows stand; only this report needs an efficiency above 0
+            underflow = f"the efficiency at fields.fiber_length_m = {_fmt(length)} m underflows to 0"
+            extra.append(f"bookkeeping: not computed ({underflow})")
+        elif per_w2_pct is not None and model.loss_variant == "lumped-exponential":
+            book = loss_bookkeeping(
+                model.coefficient_pct_per_w2m2,
+                per_w2_pct,
+                length,
+                pump1.attenuation_db_per_m,
+                pump2.attenuation_db_per_m,
+                probe.attenuation_db_per_m,
+            )
+            extra.append(f"per_w2_pct_at_configured_length: {_fmt(per_w2_pct)}")
+            extra.append(f"bookkeeping_total_attenuation_db_per_m: {_fmt(book.total_attenuation_db_per_m)}")
+            extra.append(f"bookkeeping_signal_attenuation_db_per_m: {_fmt(book.signal_attenuation_db_per_m)}")
 
-    # consistency report: the per-W^2 coefficient this model implies at the
-    # configured length, and the attenuation bookkeeping behind it
-    length = config.fiber_length_m()
-    power_product = pump1.coupled_power_w * pump2.coupled_power_w
-    per_w2_pct = None
-    if power_product > 0.0:
-        try:
-            per_w2_pct = predicted_efficiency(model, pump1, pump2, probe, length) / power_product * 100.0
-        except OverflowError:
-            raise ValueError(f"fields.fiber_length_m: the efficiency at {_fmt(length)} m overflows") from None
-    if per_w2_pct is not None and model.loss_variant == "lumped-exponential":
-        book = loss_bookkeeping(
-            model.coefficient_pct_per_w2m2,
-            per_w2_pct,
-            length,
-            pump1.attenuation_db_per_m,
-            pump2.attenuation_db_per_m,
-            probe.attenuation_db_per_m,
-        )
-        extra.append(f"per_w2_pct_at_configured_length: {_fmt(per_w2_pct)}")
-        extra.append(f"bookkeeping_total_attenuation_db_per_m: {_fmt(book.total_attenuation_db_per_m)}")
-        extra.append(f"bookkeeping_signal_attenuation_db_per_m: {_fmt(book.signal_attenuation_db_per_m)}")
-
-    path = out_dir / "efficiency_vs_length.csv"
-    _write_table(path, config, "efficiency", args.seed, ("length_m", "efficiency"), rows, extra_meta=extra)
-    print(f"{summary} -> {path}")
-    return 0
+        path = out_dir / "efficiency_vs_length.csv"
+        _write_table(path, config, "efficiency", args.seed, ("length_m", "efficiency"), rows, extra_meta=extra)
+        print(f"{summary} -> {path}")
+        return 0
 
 
 def cmd_bend(config: ToolkitConfig, args, out_dir: Path) -> int:
+    from csrskit.bendloss import (
+        DEFAULT_CLADDING_PAIRS,
+        EMPIRICAL_LP01_CUTOFF_M,
+        critical_bend_radius,
+        mode_accessibility,
+    )
+    from csrskit.core_model import LP01, LP11
+
     geom = config.fiber_geometry()
     probe_nm = config.tree["scheme"]["probe_nm"]
     radii = _positive_sweep(args, "radii", config, "radius_m", (0.05, 0.60, 56))
@@ -306,6 +325,8 @@ def cmd_bend(config: ToolkitConfig, args, out_dir: Path) -> int:
 
 
 def cmd_screen(config: ToolkitConfig, args, out_dir: Path) -> int:
+    from csrskit.raman_screen import load_catalog, screen
+
     catalog = load_catalog(config.catalog_path())
     for diag in catalog.diagnostics:
         print(f"warning: catalog row {diag.line_number} rejected: {diag.message}", file=sys.stderr)
@@ -362,7 +383,6 @@ def cmd_screen(config: ToolkitConfig, args, out_dir: Path) -> int:
 
 
 def cmd_fit(config: ToolkitConfig, args, out_dir: Path) -> int:
-    # imported here, so that the other subcommands do not load the fitting module
     from csrskit.fitting import DataSeries, fit_bend_saturation, fit_cutback, fit_efficiency_length
 
     series = DataSeries.from_csv(args.data)
@@ -452,17 +472,8 @@ def main(argv=None) -> int:
             config = config.with_loss_variant(args.loss_variant)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # efficiencies above 1 are reported in the efficiency CSV's header instead
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ModelValidityWarning)
-            return _COMMANDS[args.command](config, args, out_dir)
-    except NoRootError as exc:
-        print(f"error: no phase-matching root: {exc}", file=sys.stderr)
-        return 2
-    except NoConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
+        return _COMMANDS[args.command](config, args, out_dir)
+    except (ValueError, OSError) as exc:  # ConfigError and every domain error of a bad input are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

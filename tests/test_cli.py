@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,7 +65,15 @@ def _numeric_leaves(node=None, path=()) -> list:
 _VALIDITY_NOTE = "warning: efficiencies above 1 are outside the undepleted-pump validity range"
 
 #: A value that breaks each constraint of the schema.
-_OUT_OF_RANGE = {"> 0": 0.0, ">= 0": -1.0, "in [0, 1]": 1.5, ">= 3": 2, "> 1 as a constant or in every table row": 1.0}
+_OUT_OF_RANGE = {
+    "> 0": 0.0,
+    ">= 0": -1.0,
+    "in [0, 1]": 1.5,
+    ">= 3": 2,
+    "in [1, 1000]": 0.0,
+    "in [0.01, 100]": 0.0,
+    "in (1, 5] as a constant or in every table row": 1.0,
+}
 
 
 def _dotted(path) -> str:
@@ -230,6 +239,26 @@ class TestEfficiency:
         assert "# bookkeeping_signal_attenuation_db_per_m: 0.79" in text
         assert "projection" not in text
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("fields.pump1.power_w", 5e-324),
+            ("model.coefficient_pct_per_w2m2", 5e-324),
+            ("fields.pump1.attenuation_db_per_m", 1e300),
+        ],
+    )
+    def test_an_efficiency_underflowing_to_zero_still_writes_the_rows(self, tmp_path, capsys, path, value):
+        # these exited 2 with "per_w2_pct must be positive and finite, got 0.0" from the bookkeeping line
+        config = modified_config(tmp_path, lambda tree: _set_leaf(tree, path, value))
+        assert run("--config", config, "--out", str(tmp_path), "efficiency") == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "efficiency_vs_length.csv").read_text()
+        note = "# bookkeeping: not computed (the efficiency at fields.fiber_length_m = 1.85 m underflows to 0)"
+        assert [line for line in text.splitlines() if line.startswith(("# bookkeeping", "# per_w2"))] == [note]
+        _, rows = read_rows(tmp_path / "efficiency_vs_length.csv")
+        assert len(rows) == 101  # 100 sweep rows and the optimum
+        assert all(math.isfinite(float(eta)) and float(eta) >= 0.0 for _, eta in rows)
+
 
 class TestBend:
     def test_critical_radius_metadata(self, tmp_path):
@@ -363,9 +392,47 @@ class TestGlobalBehavior:
         path = modified_config(tmp_path, lambda t: t["fiber"].update({"wall_index": table}))
         for command in ("phase-match", "bend"):
             assert run("--config", path, "--out", str(tmp_path / "out"), command) == 2
-            assert f"error: fiber.wall_index: must be > 1 as a constant or in every table row, got {table!r}" in (
+            assert f"error: fiber.wall_index: must be in (1, 5] as a constant or in every table row, got {table!r}" in (
                 capsys.readouterr().err
             )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path,value,command",
+        [
+            ("fiber.wall_thickness_um", 5e-324, "phase-match"),  # was a ZeroDivisionError
+            ("fiber.core_radius_um", 1e300, "phase-match"),  # was an OverflowError
+            ("fiber.capillary_inner_radius_um", 5e-324, "bend"),  # was a ZeroDivisionError
+            ("fiber.wall_index", 1e300, "phase-match"),  # was an OverflowError
+        ],
+    )
+    def test_geometry_outside_its_physical_bounds_exits_2(self, tmp_path, capsys, path, value, command):
+        config = modified_config(tmp_path, lambda tree: _set_leaf(tree, path, value))
+        assert run("--config", config, "--out", str(tmp_path / "out"), command) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: must be in ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([[-0.5, 0.01]], "gives 0.7056274766767309 at the pump1 wavelength 1550.0 nm"),  # n < 1
+            ([[-5.0, 0.01]], "gives no real index at the pump1 wavelength 1550.0 nm"),  # n^2 < 0
+            ([[0.69, (1550.0 * 1e-3) ** 2]], "gives a pole at the pump1 wavelength 1550.0 nm"),
+            (  # a glass index at the pumps and the probe
+                [[0.69, (phasematch.signal_wavelength(914.0, 1550.0, 942.0) * 1e-3) ** 2], [1.5, 1e-4]],
+                "gives a pole at the signal wavelength 1475.6",
+            ),
+            ([[30.0, 0.01]], "gives 5.5"),  # above the glass range
+        ],
+    )
+    @pytest.mark.parametrize("command", ["phase-match", "efficiency", "bend", "screen"])
+    def test_sellmeier_wall_index_is_checked_at_load(self, tmp_path, capsys, pairs, message, command):
+        # bend, efficiency and screen used to exit 0, and phase-match named the library argument
+        config = modified_config(tmp_path, lambda tree: _set_leaf(tree, "fiber.wall_index", {"sellmeier": pairs}))
+        assert run("--config", config, "--out", str(tmp_path / "out"), command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: fiber.wall_index: the Sellmeier model {message}")
+        assert err.rstrip().endswith("; it must be in (1, 5]")
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
@@ -539,6 +606,36 @@ class TestGlobalBehavior:
         assert fresh_interpreter_packages(lines) == []
         # the same run sees numpy once anything imports it, so the check above can fail
         assert fresh_interpreter_packages([*lines, "import numpy"]) == ["numpy"]
+
+    @pytest.mark.parametrize(
+        "argv,runs",
+        [
+            (["phase-match"], ["phasematch"]),
+            (["efficiency"], []),
+            (["bend"], ["bendloss"]),
+            (["screen"], ["raman_screen"]),
+            (["fit", "--kind", "cutback", "--data", CUTBACK_DATA], ["fitting"]),
+            (["fit", "--kind", "efficiency", "--data", EFFICIENCY_DATA], ["fitting"]),
+            (["fit", "--kind", "bend", "--data", BEND_DATA], ["fitting"]),
+        ],
+    )
+    def test_each_subcommand_loads_only_the_modules_it_runs(self, tmp_path, argv, runs):
+        code = "\n".join(
+            [
+                "import json, sys",
+                "import csrskit.cli",
+                f"code = csrskit.cli.main({['--config', SHIPPED, '--out', str(tmp_path), *argv]!r})",
+                "loaded = sorted(m for m in sys.modules if m.startswith('csrskit'))",
+                "print(json.dumps([code, 'yaml' in sys.modules, loaded]))",
+            ]
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        code, yaml_loaded, loaded = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert not yaml_loaded
+        base = ["csrskit", "csrskit.cli", "csrskit.config", "csrskit.core_model", "csrskit.efficiency"]
+        assert loaded == sorted(base + [f"csrskit.{name}" for name in runs])
 
     def test_rerun_replaces_the_csv(self, tmp_path):
         assert run("--config", SHIPPED, "--out", str(tmp_path), "phase-match") == 0

@@ -1,6 +1,11 @@
+import math
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csrskit import config as cfg
 from csrskit.cli import main
 from csrskit.config import SCHEMA, ConfigError, load_config
 from csrskit.core_model import FiberGeometry
@@ -211,6 +216,127 @@ class TestValidation:
         path.write_text("fiber: [unclosed\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def _canonical(node):
+    """A tree that compares equal only to a tree of the same types and values (nan equal to nan)."""
+    if isinstance(node, dict):
+        return {key: _canonical(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_canonical(value) for value in node]
+    if isinstance(node, float):
+        return ("float", "nan" if math.isnan(node) else node.hex())
+    return (type(node).__name__, node)
+
+
+_NUMBERS = st.one_of(st.floats(), st.integers())
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+_PAIRS = st.lists(st.lists(_NUMBERS, min_size=2, max_size=2), min_size=1, max_size=3)
+_LEAVES = {
+    cfg._number: _NUMBERS,
+    cfg._optional_number: st.one_of(st.none(), _NUMBERS),
+    cfg._integer: st.integers(),
+    cfg._pairs: _PAIRS,
+    cfg._range: st.tuples(_NUMBERS, _NUMBERS, st.integers()).map(list),
+    cfg._wall_index: st.one_of(_NUMBERS, st.dictionaries(st.sampled_from(["sellmeier", "table"]), _PAIRS, min_size=1)),
+}
+
+
+def _schema_trees(node=cfg._TREE):
+    """Trees of SCHEMA's keys, each present or not, with leaves of their type (strings for the rest)."""
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            name: _schema_trees(item) if isinstance(item, dict) else _LEAVES.get(item.parse, _TEXT)
+            for name, item in node.items()
+        },
+    )
+
+
+def _read_as_a_number_here(text: str) -> bool:
+    """The listed difference: a decimal that YAML 1.1 reads as a string, such as 1e3 or 2.93e2."""
+    return cfg._FLOAT.fullmatch(text) is not None and isinstance(yaml.safe_load(text), str)
+
+
+def _strings(node):
+    if isinstance(node, dict):
+        return [s for value in node.values() for s in _strings(value)]
+    if isinstance(node, list):
+        return [s for value in node for s in _strings(value)]
+    return [node] if isinstance(node, str) else []
+
+
+class TestReader:
+    """config._read_yaml against yaml.safe_load, the reader it replaces."""
+
+    @pytest.mark.parametrize("path", [SHIPPED, LONG_FIBER], ids=lambda p: p.name)
+    def test_shipped_configs_read_as_pyyaml_reads_them(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert _canonical(cfg._read_yaml(text)) == _canonical(yaml.safe_load(text))
+
+    @given(tree=_schema_trees(), style=st.sampled_from([False, None, True]))
+    @settings(max_examples=300, deadline=None)
+    def test_dumped_schema_trees_read_as_pyyaml_reads_them(self, tree, style):
+        if any(_read_as_a_number_here(s) for s in _strings(tree)):
+            return
+        # block style, flow leaves, and the whole tree as one flow mapping; a flow collection is one line
+        text = yaml.safe_dump(tree, default_flow_style=style, width=math.inf)
+        assert _canonical(cfg._read_yaml(text)) == _canonical(yaml.safe_load(text))
+
+    def test_nested_block_sequences_and_quoted_scalars(self):
+        text = "a:\n- - 1\n  - '2'\n-\n  - \"x\\ty\"\n- [.inf, -.inf, .nan, null, true, false]\nb: 'it''s' # note\n"
+        tree = cfg._read_yaml(text)
+        assert _canonical(tree) == _canonical(yaml.safe_load(text))
+        assert tree["a"][0] == [1, "2"] and tree["a"][1] == ["x\ty"] and tree["b"] == "it's"
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("a: &x 1\n", 1, "anchors are not accepted"),
+            ("a: 1\nb: *x\n", 2, "aliases are not accepted"),
+            ("a: !!float 1\n", 1, "tags are not accepted"),
+            ("a: 1\n---\nb: 2\n", 2, "document markers are not accepted"),
+            ("a: 1\n...\n", 2, "document markers are not accepted"),
+            ("a: |\n  text\n", 1, "block scalars are not accepted"),
+            ("a: >\n  text\n", 1, "block scalars are not accepted"),
+            ("a:\n\tb: 1\n", 2, "tabs are not accepted"),
+            ("a: 1\nb: 2\na: 3\n", 3, "duplicate key 'a'"),
+            ("a:\n  w: {x: 1, x: 2}\n", 2, "duplicate or non-scalar key 'x'"),
+            ("%YAML 1.1\na: 1\n", 1, "directives are not accepted"),
+            ("? a\n: 1\n", 1, "complex keys are not accepted"),
+            ("a: [1, 2\n  , 3]\n", 1, "'[' is not closed on its line"),
+            ("a: 'x\n  y'\n", 1, "a quoted scalar must close on its line"),
+            ("a: 1\n  b: 2\n", 2, "unexpected indentation"),
+            ("a: b: c\n", 1, "'b: c' is not a plain scalar; quote it"),
+            ("- a\nb: 1\n", 2, "this line does not continue the block above it"),
+        ],
+    )
+    def test_constructs_outside_the_subset_are_named_with_their_line(self, tmp_path, text, line, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).startswith(f"{path}: line {line}: {message}")
+
+    def test_exponents_without_a_dot_or_sign_are_numbers(self, tmp_path):
+        text = "a: 2.93e2\nb: 1e3\nc: 1.0e3\n"
+        assert yaml.safe_load(text) == {"a": "2.93e2", "b": "1e3", "c": "1.0e3"}  # YAML 1.1
+        assert _canonical(cfg._read_yaml(text)) == _canonical({"a": 293.0, "b": 1000.0, "c": 1000.0})
+        tree = minimal_tree()
+        path = write_tree(tmp_path, tree)
+        path.write_text(path.read_text().replace("temperature_k: 273.15", "temperature_k: 2.7315e2"))
+        assert load_config(path).tree["gas"]["reference_temperature_k"] == 273.15
+
+    def test_yes_no_on_off_are_strings(self):
+        text = "a: yes\nb: no\nc: on\nd: off\n"
+        assert yaml.safe_load(text) == {"a": True, "b": False, "c": True, "d": False}  # YAML 1.1
+        assert cfg._read_yaml(text) == {"a": "yes", "b": "no", "c": "on", "d": "off"}
+
+    def test_duplicate_keys_are_rejected(self):
+        text = "fiber:\n  core_radius_um: 23.0\n  core_radius_um: 30.0\n"
+        assert yaml.safe_load(text) == {"fiber": {"core_radius_um": 30.0}}  # YAML 1.1 keeps the last
+        with pytest.raises(ConfigError, match=r"^line 3: duplicate key 'core_radius_um'$"):
+            cfg._read_yaml(text)
 
 
 def test_readme_names_every_schema_path():
